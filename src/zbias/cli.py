@@ -5,12 +5,14 @@ one line of JSON on stdout; ``eval --table`` prints an aligned text row
 instead.  Exit status: 0 success, 1 validation error, 2 I/O error, 3
 degenerate population or undefined stratum.  Every error prints exactly one
 diagnostic line on stderr.  The environment variable ZBIAS_THREADS caps
-Monte Carlo parallelism (0 or unset means the implementation default).
+Monte Carlo parallelism (0 or unset means sequential; larger values are
+clamped to the number of 32768-draw chunks and of CPUs).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from . import conditions
@@ -209,7 +211,7 @@ def _run_mc(args) -> int:
 def _run_scatter(args) -> int:
     cfg = McConfig(draws=args.draws, seed=args.seed)
     rows = export_scatter(cfg, args.out)
-    print('{"rows": %d, "out": "%s"}' % (rows, args.out))
+    print('{"rows": %d, "out": %s}' % (rows, json.dumps(args.out, ensure_ascii=False)))
     return 0
 
 

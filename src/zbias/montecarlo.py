@@ -23,7 +23,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import InvariantViolation
-from .rng import PARAMS_PER_DRAW, primary_uniforms, retry_uniforms
+from .rng import PARAMS_PER_DRAW, primary_uniforms, retry_block_uniforms, retry_uniforms
 from .scenario import IDENTITY_TOL, BinaryScenario
 
 log = logging.getLogger(__name__)
@@ -145,22 +145,30 @@ def _params_matrix(seed: int, start: int, count: int) -> np.ndarray:
 def _project_cor1(rows: np.ndarray, seed: int, start: int) -> None:
     """Interaction-free monotone tables on the additive scale.
 
-    The three free treatment cells are sorted so p00 is smallest, then
-    p11 = p10 + p01 - p00; triples pushing p11 above 1 are resampled from
-    the draw's retry region.  Outcome means are swapped into the monotone
-    order within each arm.
+    The three free treatment cells are sorted into (p00, p10, p01) =
+    (min, mid, max), then p11 = p10 + p01 - p00; triples pushing p11 above 1
+    are resampled from the draw's retry region.  The sort fixes p01 >= p10,
+    so only the half of the cor1 region with p01 >= p10 is sampled.  Outcome
+    means are swapped into the monotone order within each arm.
+
+    Rejection runs in rounds over the whole chunk: round k fetches retry
+    attempt k for every draw still rejected, in one vectorised call.
     """
-    for offset, row in enumerate(rows):
-        attempt = 0
-        while True:
-            p00, p10, p01 = np.sort(row[3:6])
-            p11 = p10 + p01 - p00
-            if p11 <= 1.0:
-                break
-            row[3:6] = _fresh_triple(seed, start + offset, attempt)
-            attempt += 1
-        row[2], row[3], row[4], row[5] = p11, p10, p01, p00
-        _sort_outcome_means(row)
+    triples = np.sort(rows[:, 3:6], axis=1)
+    p11 = triples[:, 1] + triples[:, 2] - triples[:, 0]
+    pending = np.nonzero(p11 > 1.0)[0]
+    attempt = 0
+    while pending.size:
+        fresh = np.sort(_fresh_triples(seed, start + pending, attempt), axis=1)
+        triples[pending] = fresh
+        p11[pending] = fresh[:, 1] + fresh[:, 2] - fresh[:, 0]
+        pending = pending[p11[pending] > 1.0]
+        attempt += 1
+    rows[:, 2] = p11
+    rows[:, 3] = triples[:, 1]
+    rows[:, 4] = triples[:, 2]
+    rows[:, 5] = triples[:, 0]
+    _sort_outcome_means(rows)
 
 
 def _project_cor2(rows: np.ndarray, seed: int, start: int) -> None:
@@ -179,27 +187,27 @@ def _project_cor2(rows: np.ndarray, seed: int, start: int) -> None:
     rows[:, 3] = p10
     rows[:, 4] = p01
     rows[:, 5] = p00
-    for row in rows:
-        _sort_outcome_means(row)
+    _sort_outcome_means(rows)
 
 
-def _fresh_triple(seed: int, index: int, attempt: int) -> np.ndarray:
+def _fresh_triples(seed: int, indices: np.ndarray, attempt: int) -> np.ndarray:
     # Projection retries live after the degeneracy retries in the draw's
     # retry region; skip exact zeros like the primary stream does.
-    base = 1_000 + attempt
-    triple = retry_uniforms(seed, index, base)[:3]
-    while np.any(triple == 0.0):
-        base += 1_000_000
-        triple = retry_uniforms(seed, index, base)[:3]
-    return triple
+    base = np.full(indices.size, 1_000 + attempt, dtype=np.int64)
+    triples = retry_block_uniforms(seed, indices, base)[:, :3]
+    zero = np.nonzero((triples == 0.0).any(axis=1))[0]
+    while zero.size:
+        base[zero] += 1_000_000
+        triples[zero] = retry_block_uniforms(seed, indices[zero], base[zero])[:, :3]
+        zero = zero[(triples[zero] == 0.0).any(axis=1)]
+    return triples
 
 
-def _sort_outcome_means(row) -> None:
+def _sort_outcome_means(rows: np.ndarray) -> None:
     # Columns: r11, r10, r01, r00.  Monotone in u means r_a1 >= r_a0.
-    if row[6] < row[7]:
-        row[6], row[7] = row[7], row[6]
-    if row[8] < row[9]:
-        row[8], row[9] = row[9], row[8]
+    for high, low in ((6, 7), (8, 9)):
+        swap = np.nonzero(rows[:, high] < rows[:, low])[0]
+        rows[swap, high], rows[swap, low] = rows[swap, low], rows[swap, high]
 
 
 def _chunk_params(cfg: McConfig, start: int, count: int) -> np.ndarray:
@@ -250,18 +258,35 @@ def _classify(bias_adj: np.ndarray, bias_unadj: np.ndarray):
     return amplified, tie
 
 
-def _thread_count(threads: int | None) -> int:
+def _requested_threads(threads: int | None) -> int:
     if threads is None:
         raw = os.environ.get("ZBIAS_THREADS", "0")
         try:
             threads = int(raw)
         except ValueError:
             raise InvariantViolation("must be an integer", field="ZBIAS_THREADS") from None
-    return max(1, threads)
+    return threads
+
+
+def _thread_count(value: int, chunks: int, cpus: int | None) -> int:
+    """Worker threads for a run: the requested ``value`` clamped to the
+    chunk count and the CPU count (``os.cpu_count()``, None if unknown);
+    0, negative values or an unknown CPU count mean sequential."""
+    return max(1, min(value, chunks, cpus or 1))
 
 
 def _chunks(draws: int):
     return [(start, min(_CHUNK, draws - start)) for start in range(0, draws, _CHUNK)]
+
+
+def _map_chunks(work, draws: int, threads: int | None) -> list:
+    # Chunk results in draw order, whatever the worker count.
+    plan = _chunks(draws)
+    workers = _thread_count(_requested_threads(threads), len(plan), os.cpu_count())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(work, plan))
+    return [work(chunk) for chunk in plan]
 
 
 def estimate_volume(cfg: McConfig, threads: int | None = None) -> McResult:
@@ -273,13 +298,7 @@ def estimate_volume(cfg: McConfig, threads: int | None = None) -> McResult:
         amplified, tie = _classify(*population_biases(_chunk_params(cfg, start, count)))
         return int(amplified.sum()), int(tie.sum())
 
-    plan = _chunks(cfg.draws)
-    workers = _thread_count(threads)
-    if workers > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, plan))
-    else:
-        results = [work(chunk) for chunk in plan]
+    results = _map_chunks(work, cfg.draws, threads)
     count = sum(r[0] for r in results)
     ties = sum(r[1] for r in results)
     volume = count / cfg.draws
@@ -310,13 +329,7 @@ def export_scatter(cfg: McConfig, path, threads: int | None = None) -> int:
             lines.append(",".join(cells))
         return "\n".join(lines)
 
-    plan = _chunks(cfg.draws)
-    workers = _thread_count(threads)
-    if workers > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(work, plan))
-    else:
-        blocks = [work(chunk) for chunk in plan]
+    blocks = _map_chunks(work, cfg.draws, threads)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(SCATTER_HEADER + "\n")
         for block in blocks:

@@ -178,6 +178,17 @@ def test_scatter_writes_csv(tmp_path):
     assert out.read_text().splitlines()[0].startswith("pZ,pU,")
 
 
+def test_scatter_reports_path_as_json_string(tmp_path):
+    out = tmp_path / 'odd "name" \\ here.csv'
+    cp = run_cli("scatter", "--draws", "5", "--seed", "3", "--out", str(out))
+    assert cp.returncode == 0
+    assert json.loads(cp.stdout) == {"rows": 5, "out": str(out)}
+    assert out.exists()
+    plain = tmp_path / "plain.csv"
+    cp = run_cli("scatter", "--draws", "5", "--seed", "3", "--out", str(plain))
+    assert cp.stdout == '{"rows": 5, "out": "%s"}\n' % plain
+
+
 def test_byte_identical_reruns(case1_file):
     first = run_cli("eval", case1_file)
     second = run_cli("eval", case1_file)

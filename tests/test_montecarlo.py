@@ -1,5 +1,8 @@
 """Monte Carlo explorer: determinism, sharding, distributional sanity, export."""
 
+import contextlib
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -19,8 +22,16 @@ from zbias import (
     export_scatter,
     population_biases,
 )
-from zbias.montecarlo import _chunk_params, _params_matrix
-from zbias.rng import primary_uniforms
+from zbias import montecarlo
+from zbias.cli import main
+from zbias.montecarlo import (
+    _chunk_params,
+    _params_matrix,
+    _project_cor1,
+    _project_cor2,
+    _thread_count,
+)
+from zbias.rng import philox4x64, primary_uniforms, retry_uniforms
 
 
 # ---------------------------------------------------------------------------
@@ -220,3 +231,203 @@ def test_scatter_round_trips_parameters(tmp_path):
     for line, row in zip(lines, rows):
         cells = [float(c) for c in line.split(",")[:10]]
         assert cells == list(row)
+
+
+# ---------------------------------------------------------------------------
+# Thread clamp
+
+
+def test_thread_count_is_clamped_to_chunks_and_cpus():
+    # A pure function of (requested, chunks, cpus): no pool is started here.
+    assert _thread_count(0, 8, 4) == 1
+    assert _thread_count(-3, 8, 4) == 1
+    assert _thread_count(1, 8, 4) == 1
+    assert _thread_count(2, 8, 2) == 2
+    assert _thread_count(3, 8, 2) == 2
+    assert _thread_count(64, 8, 16) == 8
+    assert _thread_count(4, 1, 16) == 1
+    assert _thread_count(4, 8, None) == 1
+
+
+# ---------------------------------------------------------------------------
+# numpy Philox4x64-10 against numpy's C bit generator
+
+PHILOX_KEYS = (0, 2**63 + 11, 2**64 - 1)
+
+
+def _counter_words(counter):
+    return [(counter >> (64 * j)) & (2**64 - 1) for j in range(4)]
+
+
+@pytest.mark.parametrize("key", PHILOX_KEYS)
+def test_numpy_philox_matches_bit_generator(key):
+    primary = [0, 4, 4 * 32_767, 4 * 10**9 + 3]
+    retry = [((i + 1) << 64) + 4 * a for i, a in ((0, 0), (5, 1_000), (2**62, 1_001_003))]
+    for counter in primary + retry:
+        # Philox(counter=c) emits the blocks of counters c + 1, c + 2, ...
+        expected = np.random.Philox(key=key, counter=counter).random_raw(8)
+        words = np.array([_counter_words(counter + 1), _counter_words(counter + 2)],
+                         dtype=np.uint64)
+        assert np.array_equal(philox4x64(key, words).reshape(-1), expected)
+
+
+def _reference_retry(seed, index, attempt):
+    block = ((index + 1) << 64) + 4 * attempt
+    return np.random.Generator(np.random.Philox(key=seed, counter=block)).random(16)
+
+
+@pytest.mark.parametrize("key", PHILOX_KEYS)
+def test_retry_uniforms_match_bit_generator(key):
+    for index, attempt in ((0, 0), (7, 3), (123_456, 1_000), (2**40, 1_001_000)):
+        assert np.array_equal(retry_uniforms(key, index, attempt),
+                              _reference_retry(key, index, attempt))
+
+
+# ---------------------------------------------------------------------------
+# Round-based projection against a per-row reference
+
+
+def _reference_sort_outcome_means(row):
+    if row[6] < row[7]:
+        row[6], row[7] = row[7], row[6]
+    if row[8] < row[9]:
+        row[8], row[9] = row[9], row[8]
+
+
+def _reference_cor1(rows, seed, start, retry=_reference_retry):
+    for offset, row in enumerate(rows):
+        attempt = 0
+        while True:
+            p00, p10, p01 = np.sort(row[3:6])
+            p11 = p10 + p01 - p00
+            if p11 <= 1.0:
+                break
+            base = 1_000 + attempt
+            triple = retry(seed, start + offset, base)[:3]
+            while np.any(triple == 0.0):
+                base += 1_000_000
+                triple = retry(seed, start + offset, base)[:3]
+            row[3:6] = triple
+            attempt += 1
+        row[2], row[3], row[4], row[5] = p11, p10, p01, p00
+        _reference_sort_outcome_means(row)
+
+
+def _reference_cor2(rows):
+    for row in rows:
+        x, y, w = row[3], row[4], row[5]
+        row[2], row[3], row[4], row[5] = x, x * y, x * w, x * y * w
+        _reference_sort_outcome_means(row)
+
+
+PROJECTION_CASES = [(3, 0), (2024, 32_768), (2**63 + 5, 10**9), (2**64 - 1, 17)]
+
+
+@pytest.mark.parametrize("seed,start", PROJECTION_CASES)
+def test_cor1_projection_matches_per_row_reference(seed, start):
+    rows = _params_matrix(seed, start, 600)
+    expected = rows.copy()
+    _reference_cor1(expected, seed, start)
+    _project_cor1(rows, seed, start)
+    assert rows.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed,start", PROJECTION_CASES)
+def test_cor2_projection_matches_per_row_reference(seed, start):
+    rows = _params_matrix(seed, start, 600)
+    expected = rows.copy()
+    _reference_cor2(expected)
+    _project_cor2(rows, seed, start)
+    assert rows.tobytes() == expected.tobytes()
+
+
+def test_cor1_projection_skips_exact_zero_retries(monkeypatch):
+    seed, start = 8, 0
+    rows = _params_matrix(seed, start, 400)
+    p00, p10, p01 = np.sort(rows[:, 3:6], axis=1).T
+    rejected = np.nonzero(p10 + p01 - p00 > 1.0)[0]
+    once, twice = int(rejected[0]), int(rejected[1])
+    # A triple with an exact zero that would be accepted if not skipped;
+    # draw ``twice`` also gets it on its first skip target.
+    zeroed = {(once, 1_000), (twice, 1_000), (twice, 1_001_000)}
+    poisoned = (0.0, 0.25, 0.5)
+
+    def reference_retry(seed_, index, attempt):
+        out = _reference_retry(seed_, index, attempt)
+        if (index, attempt) in zeroed:
+            out[:3] = poisoned
+        return out
+
+    real = montecarlo.retry_block_uniforms
+
+    def patched(seed_, indices, attempts, blocks=1):
+        out = real(seed_, indices, attempts, blocks)
+        for k, pair in enumerate(zip(np.asarray(indices).tolist(),
+                                     np.asarray(attempts).tolist())):
+            if pair in zeroed:
+                out[k, :3] = poisoned
+        return out
+
+    monkeypatch.setattr(montecarlo, "retry_block_uniforms", patched)
+    expected = rows.copy()
+    _reference_cor1(expected, seed, start, retry=reference_retry)
+    _project_cor1(rows, seed, start)
+    assert rows.tobytes() == expected.tobytes()
+    assert rows[once, 5] != 0.0 and rows[twice, 5] != 0.0
+    unpatched = _params_matrix(seed, start, 400)
+    _reference_cor1(unpatched, seed, start)
+    assert not np.array_equal(rows[[once, twice]], unpatched[[once, twice]])
+
+
+# ---------------------------------------------------------------------------
+# Filtered output pinned to the bytes of the per-row implementation
+
+GOLDEN_FILTERED_STDOUT = {
+    ("cor1", 0, 1): '{"volume": 1, "stderr": 0, "draws": 1, "seed": 0, "tie_count": 0}',
+    ("cor1", 1, 1000): '{"volume": 1, "stderr": 0, "draws": 1000, "seed": 1, "tie_count": 0}',
+    ("cor1", 2024, 40000): '{"volume": 0.99997499999999995, "stderr": 2.4999687498073227e-05, '
+                           '"draws": 40000, "seed": 2024, "tie_count": 1}',
+    ("cor1", 2**63 + 11, 5000): '{"volume": 0.99980000000000002, "stderr": '
+                                '0.00019997999899988897, "draws": 5000, '
+                                '"seed": 9223372036854775819, "tie_count": 1}',
+    ("cor1", 2**64 - 1, 3000): '{"volume": 1, "stderr": 0, "draws": 3000, '
+                               '"seed": 18446744073709551615, "tie_count": 0}',
+    ("cor2", 0, 1): '{"volume": 1, "stderr": 0, "draws": 1, "seed": 0, "tie_count": 0}',
+    ("cor2", 1, 1000): '{"volume": 1, "stderr": 0, "draws": 1000, "seed": 1, "tie_count": 0}',
+    ("cor2", 2024, 40000): '{"volume": 0.99934999999999996, "stderr": 0.00012743405157178745, '
+                           '"draws": 40000, "seed": 2024, "tie_count": 26}',
+    ("cor2", 2**63 + 11, 5000): '{"volume": 0.99960000000000004, "stderr": '
+                                '0.00028278613827412261, "draws": 5000, '
+                                '"seed": 9223372036854775819, "tie_count": 2}',
+    ("cor2", 2**64 - 1, 3000): '{"volume": 0.9996666666666667, "stderr": '
+                               '0.00033327777314735803, "draws": 3000, '
+                               '"seed": 18446744073709551615, "tie_count": 1}',
+}
+
+
+@pytest.mark.parametrize("name,seed,draws", sorted(GOLDEN_FILTERED_STDOUT))
+def test_filtered_mc_stdout_is_golden(name, seed, draws):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["mc", "--draws", str(draws), "--seed", str(seed), "--filter", name]) == 0
+    assert out.getvalue() == GOLDEN_FILTERED_STDOUT[(name, seed, draws)] + "\n"
+
+
+GOLDEN_PROJECTED_SHA256 = {
+    ("cor1", 3, 0, 5000): "6bdd237162e44e8820e460b08b2d8a000fffc4c19a72a4f33a8fe123c48668d4",
+    ("cor1", 40, 32768, 20000): "9d3c095a49e50a9f51430d0ec70b68fb9e8b45772d554b00494b75357c1dc277",
+    ("cor1", 2**63 + 7, 0, 32768): "93232b3a11d5f5cbb1ea11ab45fc282f846878972d1eb46f6029051cf5c0160f",
+    ("cor1", 11, 5, 777): "18edb50060caec0c32b11462807cf5adccd8ba9bd67a4154188b239649731586",
+    ("cor2", 3, 0, 5000): "4ddc04c96f7189a25b15e3378e5dc3057ff95d6d4e8c0c32f523471f05aa232f",
+    ("cor2", 40, 32768, 20000): "d73acceb82d4afbd0086e764f0afc5851f7def24da27b815ae21c57c8b04ba48",
+    ("cor2", 2**63 + 7, 0, 32768): "1e5fc802caed9a510ad13609a180bc812be9f0c82c9f40384c9e4f9deb81364c",
+    ("cor2", 11, 5, 777): "ad3905c10ad82f6b5a9243e1ead0399bf54daac74f53b9e9ef09f26425957377",
+}
+
+
+@pytest.mark.parametrize("name,seed,start,count", sorted(GOLDEN_PROJECTED_SHA256))
+def test_projected_rows_are_golden(name, seed, start, count):
+    cfg = McConfig(draws=start + count, seed=seed, filter=(name,))
+    rows = _chunk_params(cfg, start, count)
+    digest = hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest()
+    assert digest == GOLDEN_PROJECTED_SHA256[(name, seed, start, count)]
