@@ -3,15 +3,18 @@
 Subcommands: eval, check, dce, rr, average, mc, scatter.  Machine output is
 one line of JSON on stdout; ``eval --table`` prints an aligned text row
 instead.  Exit status: 0 success, 1 validation error, 2 I/O error, 3
-degenerate population or undefined stratum.  Every error prints exactly one
-diagnostic line on stderr.  The environment variable ZBIAS_THREADS caps
-Monte Carlo parallelism (0 or unset means sequential; larger values are
-clamped to the number of 32768-draw chunks and of CPUs).
+degenerate population or undefined stratum, 4 internal error (any other
+exception, reported as ``error: internal: ...`` instead of a traceback).
+Every error prints exactly one diagnostic line on stderr.  The environment
+variable ZBIAS_THREADS caps Monte Carlo parallelism (0 or unset means
+sequential; larger values are clamped to the number of 32768-draw chunks
+and of CPUs).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -48,7 +51,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built on first use and reused: parsing leaves no state in the parser.
     parser = _Parser(prog="zbias", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -211,7 +216,14 @@ def _run_mc(args) -> int:
 def _run_scatter(args) -> int:
     cfg = McConfig(draws=args.draws, seed=args.seed)
     rows = export_scatter(cfg, args.out)
-    print('{"rows": %d, "out": %s}' % (rows, json.dumps(args.out, ensure_ascii=False)))
+    try:
+        args.out.encode("utf-8")
+        out = json.dumps(args.out, ensure_ascii=False)
+    except UnicodeEncodeError:
+        # A path byte that is not UTF-8 arrives as a lone surrogate; only
+        # the ASCII escape keeps stdout valid UTF-8 JSON.
+        out = json.dumps(args.out)
+    print('{"rows": %d, "out": %s}' % (rows, out))
     return 0
 
 
@@ -243,6 +255,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal: {exc!r}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

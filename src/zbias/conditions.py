@@ -89,11 +89,15 @@ def _report(condition_id: str, checks) -> ConditionReport:
     """Build a report from (cell, lhs, rhs, slack) comparisons.
 
     A comparison is violated when its slack drops below -1e-12; the margin
-    is the minimal slack (infinite when there is nothing to compare).
+    is the minimal slack (infinite when there is nothing to compare).  A
+    cell is a string, or a (format, lo, hi) triple formatted only when its
+    comparison is violated.
     """
     checks = list(checks)
     witnesses = tuple(
-        Witness(cell, lhs, rhs) for cell, lhs, rhs, slack in checks if slack < -IDENTITY_TOL
+        Witness(cell if isinstance(cell, str) else cell[0].format(lo=cell[1], hi=cell[2]),
+                lhs, rhs)
+        for cell, lhs, rhs, slack in checks if slack < -IDENTITY_TOL
     )
     margin = min((slack for *_rest, slack in checks), default=math.inf)
     return ConditionReport(condition_id, not witnesses, margin, witnesses)
@@ -102,12 +106,12 @@ def _report(condition_id: str, checks) -> ConditionReport:
 def _nondecreasing(values, labels, cell_fmt):
     """Comparisons requiring values to be weakly increasing along labels."""
     for (v0, v1), (l0, l1) in zip(zip(values, values[1:]), zip(labels, labels[1:])):
-        yield cell_fmt.format(lo=l0, hi=l1), v1, v0, v1 - v0
+        yield (cell_fmt, l0, l1), v1, v0, v1 - v0
 
 
 def _nonincreasing(values, labels, cell_fmt):
     for (v0, v1), (l0, l1) in zip(zip(values, values[1:]), zip(labels, labels[1:])):
-        yield cell_fmt.format(lo=l0, hi=l1), v0, v1, v0 - v1
+        yield (cell_fmt, l0, l1), v0, v1, v0 - v1
 
 
 def _treated_prob_by_u(s: DiscreteScenario) -> list[float]:

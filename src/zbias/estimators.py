@@ -249,6 +249,41 @@ def _require_no_direct_effect(s: DiscreteScenario, allow_direct_effect: bool) ->
         )
 
 
+def _true_slots(m: _Moments) -> tuple[float, float, float]:
+    return (
+        m.ey_treated - m.y0_given_treated,
+        m.y1_given_control - m.ey_control,
+        m.y1_mean - m.y0_mean,
+    )
+
+
+def _standardised_means(s: DiscreteScenario, m: _Moments) -> tuple[float, float, float, float]:
+    """(int1_all, int0_all, int0_treated, int1_control): the outcome means
+    mu_a(z) standardised over the law of Z, of Z given A=1 and of Z given A=0.
+    ``m`` holds the moments of ``s``."""
+    mu0, mu1, pi = _mu_values(s)
+    used = [i for i in range(s.n_z) if s.z_pmf[i] > 0.0]
+    int1_all = fsum(s.z_pmf[i] * mu1[i] for i in used)
+    int0_all = fsum(s.z_pmf[i] * mu0[i] for i in used)
+    int0_treated = fsum(s.z_pmf[i] * pi[i] * mu0[i] for i in used) / m.f
+    int1_control = fsum(s.z_pmf[i] * (1.0 - pi[i]) * mu1[i] for i in used) / (1.0 - m.f)
+    return int1_all, int0_all, int0_treated, int1_control
+
+
+def _adjusted_slots(s: DiscreteScenario, m: _Moments) -> tuple[float, float, float]:
+    int1_all, int0_all, int0_treated, int1_control = _standardised_means(s, m)
+    return (
+        m.ey_treated - int0_treated,
+        int1_control - m.ey_control,
+        int1_all - int0_all,
+    )
+
+
+def _check_conditioning(conditioning: str) -> None:
+    if conditioning not in ("on_z", "on_propensity"):
+        raise InvariantViolation(f"unknown conditioning {conditioning!r}", field="conditioning")
+
+
 def true_ace(
     s: DiscreteScenario, allow_direct_effect: bool = False
 ) -> tuple[float, float, float]:
@@ -259,12 +294,7 @@ def true_ace(
     law of (Z, U) given the relevant arm instead.
     """
     _require_no_direct_effect(s, allow_direct_effect)
-    m = _moments(s)
-    return (
-        m.ey_treated - m.y0_given_treated,
-        m.y1_given_control - m.ey_control,
-        m.y1_mean - m.y0_mean,
-    )
+    return _true_slots(_moments(s))
 
 
 def unadjusted_ace(s: DiscreteScenario) -> float:
@@ -283,22 +313,9 @@ def adjusted_ace(
     ``on_propensity`` first collapses instrument levels sharing a propensity
     and then standardises over the collapsed levels.
     """
-    if conditioning not in ("on_z", "on_propensity"):
-        raise InvariantViolation(f"unknown conditioning {conditioning!r}", field="conditioning")
-    if conditioning == "on_propensity":
-        s = collapse_by_propensity(s, merge_tol)
-    m = _moments(s)
-    mu0, mu1, pi = _mu_values(s)
-    used = [i for i in range(s.n_z) if s.z_pmf[i] > 0.0]
-    int1_all = fsum(s.z_pmf[i] * mu1[i] for i in used)
-    int0_all = fsum(s.z_pmf[i] * mu0[i] for i in used)
-    int0_treated = fsum(s.z_pmf[i] * pi[i] * mu0[i] for i in used) / m.f
-    int1_control = fsum(s.z_pmf[i] * (1.0 - pi[i]) * mu1[i] for i in used) / (1.0 - m.f)
-    return (
-        m.ey_treated - int0_treated,
-        int1_control - m.ey_control,
-        int1_all - int0_all,
-    )
+    _check_conditioning(conditioning)
+    world = s if conditioning == "on_z" else collapse_by_propensity(s, merge_tol)
+    return _adjusted_slots(world, _moments(world))
 
 
 def adjusted_minus_unadjusted_via_covariance(
@@ -338,9 +355,14 @@ def estimates(
 ) -> EstimateSet:
     """All seven estimands of a (binary or discrete) scenario."""
     s = to_discrete(scenario) if isinstance(scenario, BinaryScenario) else scenario
+    # Checks run in the order true_ace and adjusted_ace would raise them:
+    # empty arm, direct effect, conditioning.
     m = _moments(s)
-    tt, tc, ta = true_ace(s, allow_direct_effect)
-    at, ac, aa = adjusted_ace(s, conditioning, merge_tol)
+    _require_no_direct_effect(s, allow_direct_effect)
+    tt, tc, ta = _true_slots(m)
+    _check_conditioning(conditioning)
+    world = s if conditioning == "on_z" else collapse_by_propensity(s, merge_tol)
+    at, ac, aa = _adjusted_slots(world, m if world is s else _moments(world))
     return EstimateSet(
         true_treated=tt,
         true_control=tc,
@@ -422,18 +444,13 @@ def rr(
                         "ratio-scale estimands need nonnegative outcome means",
                         field=f"mean[{a}][{i}][{j}]",
                     )
-    if conditioning not in ("on_z", "on_propensity"):
-        raise InvariantViolation(f"unknown conditioning {conditioning!r}", field="conditioning")
+    _check_conditioning(conditioning)
     _require_no_direct_effect(s, allow_direct_effect=False)
     m = _moments(s)
-    collapsed = s if conditioning == "on_z" else collapse_by_propensity(s, merge_tol)
-    cm = _moments(collapsed)
-    mu0, mu1, pi = _mu_values(collapsed)
-    used = [i for i in range(collapsed.n_z) if collapsed.z_pmf[i] > 0.0]
-    int1_all = fsum(collapsed.z_pmf[i] * mu1[i] for i in used)
-    int0_all = fsum(collapsed.z_pmf[i] * mu0[i] for i in used)
-    int0_treated = fsum(collapsed.z_pmf[i] * pi[i] * mu0[i] for i in used) / cm.f
-    int1_control = fsum(collapsed.z_pmf[i] * (1.0 - pi[i]) * mu1[i] for i in used) / (1.0 - cm.f)
+    world = s if conditioning == "on_z" else collapse_by_propensity(s, merge_tol)
+    int1_all, int0_all, int0_treated, int1_control = _standardised_means(
+        world, m if world is s else _moments(world)
+    )
 
     slots = {
         "true_treated": (m.ey_treated, m.y0_given_treated),

@@ -27,18 +27,20 @@ VALIDATION_TOL = 1e-9
 PROPENSITY_MERGE_TOL = 1e-9
 
 
-def _as_float(value, name: str) -> float:
+def _as_float(value, name: str, finite: bool = False) -> float:
     try:
         out = float(value)
     except (TypeError, ValueError) as exc:
         raise InvariantViolation("must be a number", field=name) from exc
     if math.isnan(out):
         raise InvariantViolation("must not be NaN", field=name)
+    if finite and math.isinf(out):
+        raise InvariantViolation("must be finite", field=name)
     return out
 
 
-def _float_tuple(values, name: str) -> tuple[float, ...]:
-    return tuple(_as_float(v, name) for v in values)
+def _float_tuple(values, name: str, finite: bool = False) -> tuple[float, ...]:
+    return tuple(_as_float(v, name, finite) for v in values)
 
 
 def _check_prob(value: float, name: str) -> None:
@@ -137,8 +139,8 @@ class DiscreteScenario:
     binary_outcome: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "z_support", _float_tuple(self.z_support, "z_support"))
-        object.__setattr__(self, "u_support", _float_tuple(self.u_support, "u_support"))
+        for name in ("z_support", "u_support"):
+            object.__setattr__(self, name, _float_tuple(getattr(self, name), name, finite=True))
         object.__setattr__(self, "z_pmf", _float_tuple(self.z_pmf, "z_pmf"))
         object.__setattr__(self, "u_pmf", _float_tuple(self.u_pmf, "u_pmf"))
         object.__setattr__(self, "binary_outcome", bool(self.binary_outcome))
@@ -183,8 +185,11 @@ class DiscreteScenario:
         if self.outcome_law is not None:
             law = tuple(
                 tuple(
-                    tuple((_as_float(v, f"law[{a}][{j}]"), _as_float(p, f"law[{a}][{j}]"))
-                          for v, p in law_au)
+                    tuple(
+                        (_as_float(v, f"law[{a}][{j}]", finite=True),
+                         _as_float(p, f"law[{a}][{j}]"))
+                        for v, p in law_au
+                    )
                     for j, law_au in enumerate(arm)
                 )
                 for a, arm in enumerate(self.outcome_law)
@@ -249,10 +254,13 @@ class PotentialOutcomeScenario:
     treat: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pi_support", _float_tuple(self.pi_support, "pi_support"))
+        object.__setattr__(
+            self, "pi_support", _float_tuple(self.pi_support, "pi_support", finite=True)
+        )
         object.__setattr__(self, "pi_pmf", _float_tuple(self.pi_pmf, "pi_pmf"))
         pairs = tuple(
-            (_as_float(y1, "y_pairs"), _as_float(y0, "y_pairs")) for y1, y0 in self.y_pairs
+            (_as_float(y1, "y_pairs", finite=True), _as_float(y0, "y_pairs", finite=True))
+            for y1, y0 in self.y_pairs
         )
         object.__setattr__(self, "y_pairs", pairs)
         object.__setattr__(self, "pair_pmf", _float_tuple(self.pair_pmf, "y_pairs"))

@@ -46,7 +46,6 @@ from .scenario import (
 Scenario = BinaryScenario | DiscreteScenario | PotentialOutcomeScenario | CovariateFamily
 
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\[\d+\])*$")
-_INDEXED_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)((?:\[\d+\])+)$")
 
 _BINARY_KEYS = ("pZ", "pU", "p11", "p10", "p01", "p00", "r11", "r10", "r01", "r00")
 
@@ -131,12 +130,12 @@ def _pop(entries: dict[str, _Entry], key: str) -> _Entry:
 
 def _indexed(entries: dict[str, _Entry], base: str, depth: int):
     """Pull all 'base[i]...[k]' keys, returning {(i, ..., k): entry}."""
+    # Every key matched _KEY_RE in _scan, so after the first '[' it is only
+    # bracketed digit runs.
+    prefix = base + "["
     found = {}
-    for key in list(entries):
-        match = _INDEXED_RE.match(key)
-        if match is None or match.group(1) != base:
-            continue
-        indices = tuple(int(n) for n in re.findall(r"\[(\d+)\]", match.group(2)))
+    for key in [k for k in entries if k.startswith(prefix)]:
+        indices = tuple(map(int, key[len(prefix):-1].split("][")))
         if len(indices) != depth:
             raise ScenarioFormatError(
                 f"{key}: expected {depth} indices", entries[key].line

@@ -242,3 +242,56 @@ def test_dce_requires_threshold(case1_file):
     cp = run_cli("dce", case1_file)
     assert cp.returncode == 1
     assert "threshold" in cp.stderr
+
+
+def test_non_finite_potential_outcome_is_validation_error(tmp_path):
+    path = tmp_path / "inf.scn"
+    path.write_text(
+        "kind = potential_outcomes\n"
+        "pi_support = 0.5\n"
+        "pi_pmf = 1\n"
+        "y_pairs = inf,0:0.5; 0,0:0.5\n"
+        "treat[0][0] = 0.5\n"
+        "treat[0][1] = 0.5\n"
+    )
+    cp = run_cli("eval", str(path))
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    assert cp.stderr == "error: y_pairs: must be finite\n"
+
+
+def test_internal_error_is_one_line_with_exit_4(monkeypatch, capsys, case1_file):
+    from zbias import cli
+
+    def broken(args):
+        raise AssertionError("inconsistent report\nfor thm1.a1")
+
+    monkeypatch.setitem(cli._HANDLERS, "eval", broken)
+    assert cli.main(["eval", case1_file]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal: AssertionError('inconsistent report\\nfor thm1.a1')\n"
+    )
+    monkeypatch.undo()
+    assert cli.main(["eval", case1_file, "--table"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split()[-1] == "YES"
+
+
+def test_scatter_non_utf8_path_is_ascii_escaped(tmp_path):
+    import os
+
+    out = os.path.join(str(tmp_path), os.fsdecode(b"x\xff.csv"))
+    cp = subprocess.run(
+        [sys.executable, "-m", "zbias", "scatter", "--draws", "5", "--seed", "3", "--out", out],
+        capture_output=True,
+    )
+    assert cp.returncode == 0, cp.stderr
+    text = cp.stdout.decode("utf-8")
+    assert text.isascii()
+    assert json.loads(text) == {"rows": 5, "out": out}
+    assert os.path.exists(os.fsencode(out))
+    # A UTF-8 path other than ASCII is still printed as is.
+    accented = tmp_path / "café.csv"
+    cp = run_cli("scatter", "--draws", "5", "--seed", "3", "--out", str(accented))
+    assert cp.stdout == '{"rows": 5, "out": "%s"}\n' % accented

@@ -577,3 +577,78 @@ def test_estimate_set_json_round_trips(case1):
     assert data["f"] == e.treated_fraction
     assert data["conditioning"] == "on_z"
     assert list(data) == list(SLOTS) + ["f", "conditioning"]
+
+
+# ---------------------------------------------------------------------------
+# Error precedence: an empty treatment arm is reported before a direct
+# effect, and a direct effect before an unknown conditioning.
+
+
+def _direct_effect_world(treat):
+    return DiscreteScenario(
+        z_support=(0.0, 1.0),
+        z_pmf=(0.5, 0.5),
+        u_support=(0.0, 1.0),
+        u_pmf=(0.5, 0.5),
+        treat=treat,
+        outcome_mean=(((0.1, 0.2), (0.15, 0.25)), ((0.3, 0.4), (0.35, 0.45))),
+    )
+
+
+def test_degenerate_population_wins_over_direct_effect():
+    s = _direct_effect_world(((0.0, 0.0), (0.0, 0.0)))
+    assert s.outcome_mean_depends_on_z()
+    for conditioning in ("on_z", "on_propensity", "bogus"):
+        with pytest.raises(DegeneratePopulationError):
+            estimates(s, conditioning)
+    family = CovariateFamily(strata=(Stratum("only", 1.0, s),))
+    with pytest.raises(DegeneratePopulationError):
+        covariate_average(family)
+
+
+def test_direct_effect_wins_over_unknown_conditioning():
+    s = _direct_effect_world(((0.2, 0.4), (0.3, 0.5)))
+    with pytest.raises(InvariantViolation, match="^mean: outcome mean varies with z"):
+        estimates(s, "bogus")
+    with pytest.raises(InvariantViolation, match="^conditioning: unknown conditioning 'bogus'$"):
+        estimates(s, "bogus", allow_direct_effect=True)
+
+
+def test_rr_checks_conditioning_before_direct_effect_and_degeneracy():
+    degenerate = _direct_effect_world(((0.0, 0.0), (0.0, 0.0)))
+    with pytest.raises(InvariantViolation, match="^conditioning: unknown conditioning"):
+        rr(degenerate, "bogus")
+    with pytest.raises(InvariantViolation, match="^mean: outcome mean varies with z"):
+        rr(degenerate)
+    flat = DiscreteScenario(
+        z_support=(0.0, 1.0),
+        z_pmf=(0.5, 0.5),
+        u_support=(0.0, 1.0),
+        u_pmf=(0.5, 0.5),
+        treat=((1.0, 1.0), (1.0, 1.0)),
+        outcome_mean=(((0.1, 0.2), (0.1, 0.2)), ((0.3, 0.4), (0.3, 0.4))),
+    )
+    for conditioning in ("on_z", "on_propensity"):
+        with pytest.raises(DegeneratePopulationError):
+            rr(flat, conditioning)
+
+
+def test_estimates_share_one_moments_pass_without_changing_slots(monkeypatch):
+    from zbias import estimators
+
+    s = to_discrete(worked_case("case1"))
+    expected = {
+        "on_z": (true_ace(s), adjusted_ace(s, "on_z")),
+        "on_propensity": (true_ace(s), adjusted_ace(s, "on_propensity")),
+    }
+    calls = []
+    real = estimators._moments
+    monkeypatch.setattr(estimators, "_moments", lambda w: calls.append(w) or real(w))
+    for conditioning, (true, adjusted) in expected.items():
+        calls.clear()
+        e = estimates(s, conditioning)
+        assert (e.true_treated, e.true_control, e.true_all) == true
+        assert (e.adj_treated, e.adj_control, e.adj_all) == adjusted
+        # The collapsed world of on_propensity needs its own moments.
+        assert len(calls) == (1 if conditioning == "on_z" else 2)
+        assert calls[0] is s

@@ -1,5 +1,7 @@
 """Scenario file format: parsing, validation errors, round trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,80 @@ def test_round_trip_three_valued_law():
         outcome_law=law,
     )
     assert parse_scenario(serialize_scenario(s)) == s
+
+
+# Indexed keys (treat[i][j], mean[a][i][j], law[a][j]): messages and line
+# numbers as the parser has always reported them.
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("treat[1][1] = 0.8", "treat[1] = 0.8", "line 9: treat[1]: expected 2 indices"),
+        ("mean[1][1][1] = 0.08", "mean[1][1] = 0.08", "line 17: mean[1][1]: expected 3 indices"),
+        ("law[1][1] = 0:0.92, 1:0.08", "law[1][1][0] = 0:0.92, 1:0.08",
+         "line 21: law[1][1][0]: expected 2 indices"),
+        ("treat[1][1] = 0.8", "treat[1][1] = 0.8\ntreat[2][0] = 0.5",
+         "line 10: treat index out of range"),
+        ("mean[1][1][1] = 0.08", "mean[1][1][1] = 0.08\nmean[2][0][0] = 0.5",
+         "line 18: mean index out of range"),
+        ("law[1][1] = 0:0.92, 1:0.08", "law[1][1] = 0:0.92, 1:0.08\nlaw[0][7] = 0:1",
+         "line 22: law index out of range"),
+        ("binary_outcome = true", "foo[0] = 1\nbinary_outcome = true",
+         "line 22: unknown key 'foo[0]'"),
+        ("treat[1][1] = 0.8", "treat[1][1] = 0.8\ntreat1[0][0] = 0.5",
+         "line 10: unknown key 'treat1[0][0]'"),
+        ("mean[0][0][0] = 0.01", "mean[0][0] = 0.01", "line 10: mean[0][0]: expected 3 indices"),
+    ],
+)
+def test_indexed_key_errors(old, new, message):
+    assert old in DISCRETE_TEXT
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(DISCRETE_TEXT.replace(old, new))
+    assert str(info.value) == message
+
+
+def test_indexed_key_error_order_follows_table_order():
+    text = DISCRETE_TEXT.replace("mean[0][0][0] = 0.01", "mean[0][0] = 0.01")
+    text = text.replace("treat[1][1] = 0.8", "treat[1] = 0.8")
+    with pytest.raises(ScenarioFormatError, match=r"^line 9: treat\[1\]: expected 2 indices$"):
+        parse_scenario(text)
+
+
+def test_po_indexed_key_errors():
+    with pytest.raises(ScenarioFormatError, match=r"^line 12: treat\[1\]\[3\]\[0\]: expected 2"):
+        parse_scenario(PO_TEXT.replace("treat[1][3] = 0.8", "treat[1][3][0] = 0.8"))
+    with pytest.raises(ScenarioFormatError, match=r"^line 13: treat index out of range$"):
+        parse_scenario(PO_TEXT + "treat[0][4] = 0.5\n")
+
+
+def test_indices_are_read_as_integers():
+    s = parse_scenario(DISCRETE_TEXT.replace("treat[1][0] = 0.6", "treat[01][00] = 0.6"))
+    assert s == parse_scenario(DISCRETE_TEXT)
+    # Two spellings of one cell are two keys, not a duplicate: the later
+    # line wins.
+    for lines in ("treat[1][1] = 0.7\ntreat[001][1] = 0.8",
+                  "treat[001][1] = 0.7\ntreat[1][1] = 0.8"):
+        twice = parse_scenario(DISCRETE_TEXT.replace("treat[1][1] = 0.8", lines))
+        assert twice == parse_scenario(DISCRETE_TEXT)
+
+
+NON_BINARY_TEXT = DISCRETE_TEXT.replace("binary_outcome = true", "binary_outcome = false")
+
+
+@pytest.mark.parametrize(
+    "text, old, new, field",
+    [
+        (DISCRETE_TEXT, "z_support = 0, 1", "z_support = 0, inf", "z_support"),
+        (DISCRETE_TEXT, "u_support = 0, 1", "u_support = -inf, 1", "u_support"),
+        # A zero-probability infinite value makes the law mean NaN, which
+        # the law/mean agreement check cannot catch.
+        (NON_BINARY_TEXT, "law[0][0] = 0:0.99, 1:0.01", "law[0][0] = 0:0.99, 1:0.01, inf:0",
+         "law[0][0]"),
+        (PO_TEXT, "y_pairs = 0,0:0.4;", "y_pairs = 0,-inf:0.4;", "y_pairs"),
+        (PO_TEXT, "pi_support = 0.3, 0.7", "pi_support = 0.3, inf", "pi_support"),
+    ],
+    ids=["z_support", "u_support", "law", "y_pairs", "pi_support"],
+)
+def test_non_finite_numbers_rejected(text, old, new, field):
+    assert old in text
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(field)}: must be finite$"):
+        parse_scenario(text.replace(old, new))
