@@ -19,7 +19,7 @@ compensated summation over (z outer, u inner); nothing is sampled here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, isfinite
 from typing import Literal
 
 from .errors import (
@@ -386,8 +386,11 @@ def dce(
 
     Requires the scenario to carry a full outcome law.  For a binary outcome
     and any threshold in [0, 1) this coincides with the difference-scale
-    estimands; above the top outcome value every slot is zero.
+    estimands; above the top outcome value every slot is zero.  The
+    threshold must be finite.
     """
+    if not isfinite(threshold):
+        raise InvariantViolation("must be finite", field="threshold")
     if s.outcome_law is None:
         raise MissingOutcomeLawError(
             "distributional effects need law[a][j] entries for every (a, u)"

@@ -244,6 +244,15 @@ def test_dce_requires_threshold(case1_file):
     assert "threshold" in cp.stderr
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_dce_non_finite_threshold_is_validation_error(case1_file, value):
+    # The "=" form keeps argparse from reading "-inf" as an option.
+    cp = run_cli("dce", case1_file, f"--threshold={value}")
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    assert cp.stderr == "error: threshold: must be finite\n"
+
+
 def test_non_finite_potential_outcome_is_validation_error(tmp_path):
     path = tmp_path / "inf.scn"
     path.write_text(

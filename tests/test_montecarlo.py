@@ -431,3 +431,195 @@ def test_projected_rows_are_golden(name, seed, start, count):
     rows = _chunk_params(cfg, start, count)
     digest = hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest()
     assert digest == GOLDEN_PROJECTED_SHA256[(name, seed, start, count)]
+
+
+# ---------------------------------------------------------------------------
+# Blocked bias kernel pinned bit for bit to the direct transcription
+
+
+def _reference_population_biases(params):
+    p_z, p_u = params[:, 0], params[:, 1]
+    p11, p10, p01, p00 = params[:, 2], params[:, 3], params[:, 4], params[:, 5]
+    r11, r10, r01, r00 = params[:, 6], params[:, 7], params[:, 8], params[:, 9]
+
+    pi1 = p_u * p11 + (1.0 - p_u) * p10
+    pi0 = p_u * p01 + (1.0 - p_u) * p00
+    f = p_z * pi1 + (1.0 - p_z) * pi0
+
+    num_t1 = p_u * p11 * r11 + (1.0 - p_u) * p10 * r10
+    num_t0 = p_u * p01 * r11 + (1.0 - p_u) * p00 * r10
+    num_c1 = p_u * (1.0 - p11) * r01 + (1.0 - p_u) * (1.0 - p10) * r00
+    num_c0 = p_u * (1.0 - p01) * r01 + (1.0 - p_u) * (1.0 - p00) * r00
+
+    ey_treated = (p_z * num_t1 + (1.0 - p_z) * num_t0) / f
+    ey_control = (p_z * num_c1 + (1.0 - p_z) * num_c0) / (1.0 - f)
+    unadj = ey_treated - ey_control
+
+    true_all = p_u * (r11 - r01) + (1.0 - p_u) * (r10 - r00)
+
+    adj_all = p_z * (num_t1 / pi1 - num_c1 / (1.0 - pi1)) + (1.0 - p_z) * (
+        num_t0 / pi0 - num_c0 / (1.0 - pi0)
+    )
+    return adj_all - true_all, unadj - true_all
+
+
+def _assert_same_bits(params):
+    expected = _reference_population_biases(params)
+    got = population_biases(params)
+    for want, have in zip(expected, got):
+        assert have.shape == want.shape
+        assert np.array_equal(have.view(np.uint64), want.view(np.uint64))
+
+
+_BLOCK = montecarlo._BLOCK
+
+
+@pytest.mark.parametrize("seed", [3, 2**63 + 3])
+@pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 32767, 32768])
+def test_population_biases_bits_match_reference(seed, count):
+    _assert_same_bits(_params_matrix(seed, 11, count))
+
+
+@pytest.mark.parametrize("name", ["cor1", "cor2"])
+def test_population_biases_bits_match_reference_on_projected_rows(name):
+    cfg = McConfig(draws=2 * 32768, seed=2**63 + 5, filter=(name,))
+    _assert_same_bits(_chunk_params(cfg, 32768, 20000))
+
+
+def test_population_biases_bits_match_reference_on_any_layout():
+    rows = _params_matrix(77, 0, 3 * _BLOCK + 5)
+    _assert_same_bits(np.ascontiguousarray(rows))
+    _assert_same_bits(rows[::3])
+    _assert_same_bits(rows[::-2, :])
+
+
+def test_population_biases_bits_match_reference_at_extremes():
+    tiny, top = 2.0**-53, 1.0 - 2.0**-53
+    grid = np.array([tiny, 0.5, top])
+    treat = np.array(np.meshgrid(*[grid] * 6, indexing="ij")).reshape(6, -1).T
+    outcomes = np.array([[0.0, 0.0, 0.0, 0.0], [tiny, top, 0.0, 0.5],
+                         [top, tiny, top, 0.0], [0.3, 0.0, 0.0, top]])
+    rows = np.vstack([np.hstack([treat, np.tile(r, (len(treat), 1))]) for r in outcomes])
+    _assert_same_bits(rows)
+
+
+# ---------------------------------------------------------------------------
+# Degenerate draws: treatment-side zeros are redrawn from the retry region
+
+
+def test_degenerate_rows_are_redrawn_from_retry_region(monkeypatch, caplog):
+    seed, start, count = 21, 100, 12
+    treatment_zeros = {1: 0, 4: 5, 7: 2, 9: 3}
+    outcome_zeros = {2: 6, 5: 9, 8: 12, 10: 15}
+    real_primary = montecarlo.primary_uniforms
+    real_retry = montecarlo.retry_uniforms
+
+    def planted_primary(s, first, n):
+        out = real_primary(s, first, n)
+        for offset, col in {**treatment_zeros, **outcome_zeros}.items():
+            out[offset, col] = 0.0
+        return out
+
+    def planted_retry(s, index, attempt):
+        out = real_retry(s, index, attempt)
+        if index == start + 7 and attempt == 0:
+            out[4] = 0.0  # the first retry is itself degenerate
+        return out
+
+    monkeypatch.setattr(montecarlo, "primary_uniforms", planted_primary)
+    monkeypatch.setattr(montecarlo, "retry_uniforms", planted_retry)
+    with caplog.at_level("WARNING", logger="zbias.montecarlo"):
+        rows = _params_matrix(seed, start, count)
+
+    planted = planted_primary(seed, start, count)[:, :10]
+    for offset in range(count):
+        if offset in treatment_zeros:
+            attempt = 1 if offset == 7 else 0
+            expected = real_retry(seed, start + offset, attempt)[:10]
+        else:
+            expected = planted[offset]
+        assert np.array_equal(rows[offset], expected)
+    for offset, col in outcome_zeros.items():
+        if col < 10:
+            assert rows[offset, col] == 0.0
+    warnings = [r.getMessage() for r in caplog.records]
+    assert len(warnings) == len(treatment_zeros) + 1
+    assert warnings.count(f"degenerate draw {start + 7} (seed {seed}): redrawing") == 2
+
+
+@pytest.mark.parametrize("col", range(6))
+def test_lone_treatment_zero_is_redrawn(monkeypatch, caplog, col):
+    seed, start, count = 22, 5, 40
+    real_primary = montecarlo.primary_uniforms
+
+    def planted_primary(s, first, n):
+        out = real_primary(s, first, n)
+        out[count - 1, col] = 0.0
+        return out
+
+    monkeypatch.setattr(montecarlo, "primary_uniforms", planted_primary)
+    with caplog.at_level("WARNING", logger="zbias.montecarlo"):
+        rows = _params_matrix(seed, start, count)
+    assert np.array_equal(rows[:-1], real_primary(seed, start, count - 1)[:, :10])
+    assert np.array_equal(rows[-1], retry_uniforms(seed, start + count - 1, 0)[:10])
+    assert len(caplog.records) == 1
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo output bytes recorded before the blocked kernel
+
+GOLDEN_MC_STDOUT = {
+    (None, 0, 1): '{"volume": 1, "stderr": 0, "draws": 1, "seed": 0, "tie_count": 0}',
+    (None, 3, 4097): '{"volume": 0.67683670978764954, "stderr": 0.0073066782134485518, '
+                     '"draws": 4097, "seed": 3, "tie_count": 0}',
+    (None, 2024, 40000): '{"volume": 0.68100000000000005, "stderr": 0.0023304452364301545, '
+                         '"draws": 40000, "seed": 2024, "tie_count": 0}',
+    (None, 2**63 + 11, 100000): '{"volume": 0.67925000000000002, "stderr": '
+                                '0.0014760400993875471, "draws": 100000, '
+                                '"seed": 9223372036854775819, "tie_count": 0}',
+    (None, 2**64 - 1, 32768): '{"volume": 0.6815185546875, "stderr": 0.0025736882651435718, '
+                              '"draws": 32768, "seed": 18446744073709551615, "tie_count": 0}',
+    ("cor1", 7, 4097): '{"volume": 1, "stderr": 0, "draws": 4097, "seed": 7, "tie_count": 0}',
+    ("cor1", 2**63 + 5, 33000): '{"volume": 0.99993939393939391, "stderr": '
+                                '4.2853657780839865e-05, "draws": 33000, '
+                                '"seed": 9223372036854775813, "tie_count": 2}',
+    ("cor2", 7, 4097): '{"volume": 0.99975591896509641, "stderr": 0.00024405124530990811, '
+                       '"draws": 4097, "seed": 7, "tie_count": 1}',
+    ("cor2", 2**63 + 5, 70000): '{"volume": 0.9994142857142857, "stderr": '
+                                '9.1446410887142824e-05, "draws": 70000, '
+                                '"seed": 9223372036854775813, "tie_count": 41}',
+}
+
+
+@pytest.mark.parametrize("name,seed,draws", sorted(GOLDEN_MC_STDOUT, key=str))
+def test_mc_stdout_is_golden(name, seed, draws):
+    argv = ["mc", "--draws", str(draws), "--seed", str(seed)]
+    if name:
+        argv += ["--filter", name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.getvalue() == GOLDEN_MC_STDOUT[(name, seed, draws)] + "\n"
+
+
+GOLDEN_SCATTER_SHA256 = {
+    (5, 1): "ffac181770a18117a8226754c0287b6154ab0580d09d72a70f1a608a34d61ead",
+    (5, 4097): "b6f823f887a15e8a7f3e93ddedfd9550277ca0e207414a8bb88c6d856828bceb",
+    (5, 40000): "eed14953d6227ec87b5ea79376ba80836427316b5b155d6f4ce92862f8b99b7c",
+    (2**63 + 3, 40000): "e421a004c71aa298c7633cbdcbc0e5e82a85a27c17a1f16152456099a0cb78c0",
+}
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+@pytest.mark.parametrize("seed,draws", sorted(GOLDEN_SCATTER_SHA256))
+def test_scatter_csv_is_golden(tmp_path, monkeypatch, seed, draws, threads):
+    if threads is None:
+        monkeypatch.delenv("ZBIAS_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("ZBIAS_THREADS", threads)
+    path = tmp_path / "scatter.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["scatter", "--draws", str(draws), "--seed", str(seed),
+                     "--out", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_SCATTER_SHA256[(seed, draws)]
