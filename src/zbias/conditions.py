@@ -20,7 +20,7 @@ from .errors import (
     UndefinedConditionalError,
     ZeroDenominatorError,
 )
-from .estimators import EstimateSet, _mu_values
+from .estimators import EstimateSet, _json_num, _mu_values, _po_strata
 from .scenario import (
     IDENTITY_TOL,
     VALIDATION_TOL,
@@ -68,15 +68,6 @@ class ConditionReport:
 
 def _json_str(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _json_num(value: float) -> str:
-    # Python's json module spells the IEEE specials this way.
-    if math.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    if math.isnan(value):
-        return "NaN"
-    return f"{value:.17g}"
 
 
 def reports_to_json(reports) -> str:
@@ -162,17 +153,21 @@ def check_thm1(s: DiscreteScenario) -> list[ConditionReport]:
             _nondecreasing(m_u, s.u_support, f"E(Y|A={arm},U): u {{lo}}->{{hi}}")
         )
     a3 = _report("thm1.a3", checks)
-    mu0, mu1, _ = _mu_values(s)
-    used = [i for i in range(s.n_z) if s.z_pmf[i] > 0.0]
+    return [a1, a2, a3, _outcome_by_z_report("thm1.b", s)]
+
+
+def _outcome_by_z_report(condition_id: str, s: DiscreteScenario) -> ConditionReport:
+    """E(Y|A=a,Z=z) non-increasing in z for both arms, over the
+    positive-mass levels where it is defined."""
+    strata = _mu_values(s)
+    labels = [z for z, _w, _pi, _mu0, _mu1 in strata]
     checks = []
-    for arm, mu in ((0, mu0), (1, mu1)):
-        values = [mu[i] for i in used]
-        labels = [s.z_support[i] for i in used]
+    for arm in (0, 1):
+        values = [(mu0, mu1)[arm] for _z, _w, _pi, mu0, mu1 in strata]
         checks.extend(
             _nonincreasing(values, labels, f"E(Y|A={arm},Z): z {{lo}}->{{hi}}")
         )
-    b = _report("thm1.b", checks)
-    return [a1, a2, a3, b]
+    return _report(condition_id, checks)
 
 
 @dataclass(frozen=True)
@@ -314,30 +309,37 @@ def _binary_cells(s: BinaryScenario) -> tuple[float, float, float, float]:
     return s.treat[1][1], s.treat[1][0], s.treat[0][1], s.treat[0][0]
 
 
+def _ratio_check(tag: str, p11: float, p10: float, p01: float, p00: float):
+    """The comparison p11*p00 / (p10*p01) <= 1 on treatment presence, or the
+    same on the complements 1-p for tag "absence".
+
+    A zero numerator passes vacuously; a zero denominator under a positive
+    numerator raises, naming the zero factor.
+    """
+    prefix = ""
+    if tag == "absence":
+        p11, p10, p01, p00, prefix = 1 - p11, 1 - p10, 1 - p01, 1 - p00, "1-"
+    num = p11 * p00
+    if num == 0.0:
+        return f"{tag} ratio", 0.0, 1.0, 1.0
+    den = p10 * p01
+    if den == 0.0:
+        zeros = [prefix + name for name, value in (("p10", p10), ("p01", p01)) if value == 0.0]
+        # Both factors can be positive and still underflow together.
+        zero = zeros[0] if zeros else f"{prefix}p10*{prefix}p01"
+        raise ZeroDenominatorError(f"{tag} ratio undefined: {zero} = 0")
+    ratio = num / den
+    return f"{tag} ratio", ratio, 1.0, 1.0 - ratio
+
+
 def check_weaker_condition(s: BinaryScenario) -> ConditionReport:
     """Non-positive multiplicative interaction on both treatment presence and
     absence: p11*p00/(p10*p01) <= 1 and (1-p11)(1-p00)/((1-p10)(1-p01)) <= 1.
-
-    A zero numerator passes vacuously; a zero denominator under a positive
-    numerator raises, naming the zero cell.
     """
-    p11, p10, p01, p00 = _binary_cells(s)
-    pieces = (
-        ("presence", p11 * p00, p10 * p01, (("p10", p10), ("p01", p01))),
-        ("absence", (1 - p11) * (1 - p00), (1 - p10) * (1 - p01),
-         (("1-p10", 1 - p10), ("1-p01", 1 - p01))),
+    cells = _binary_cells(s)
+    return _report(
+        "weaker_condition", [_ratio_check("presence", *cells), _ratio_check("absence", *cells)]
     )
-    checks = []
-    for tag, num, den, factors in pieces:
-        if num == 0.0:
-            checks.append((f"{tag} ratio", 0.0, 1.0, 1.0))
-            continue
-        if den == 0.0:
-            zero = next(name for name, value in factors if value == 0.0)
-            raise ZeroDenominatorError(f"{tag} ratio undefined: {zero} = 0")
-        ratio = num / den
-        checks.append((f"{tag} ratio", ratio, 1.0, 1.0 - ratio))
-    return _report("weaker_condition", checks)
 
 
 def _monotone_treatment_checks(p11, p10, p01, p00):
@@ -463,17 +465,10 @@ def check_lemma_s5(p11: float, p10: float, p01: float, p00: float) -> ConditionR
         raise PremiseViolationError(
             f"lemma_s5 premises need zero additive interaction, got {contrast!r}"
         )
-    checks = []
-    for tag, num, den in (
-        ("presence", p11 * p00, p10 * p01),
-        ("absence", (1 - p11) * (1 - p00), (1 - p10) * (1 - p01)),
-    ):
-        if num == 0.0:
-            checks.append((f"{tag} ratio", 0.0, 1.0, 1.0))
-        else:
-            ratio = num / den
-            checks.append((f"{tag} ratio", ratio, 1.0, 1.0 - ratio))
-    return _report("lemma_s5", checks)
+    cells = (p11, p10, p01, p00)
+    return _report(
+        "lemma_s5", [_ratio_check("presence", *cells), _ratio_check("absence", *cells)]
+    )
 
 
 def check_lemma_s7(p11: float, p10: float, p01: float, p00: float) -> ConditionReport:
@@ -486,15 +481,11 @@ def check_lemma_s7(p11: float, p10: float, p01: float, p00: float) -> ConditionR
             f"lemma_s7 premises need p11*p00 = p10*p01, got gap {gap!r}"
         )
     contrast = p11 - p10 - p01 + p00
-    checks = [("p11 - p10 - p01 + p00", contrast, 0.0, contrast)]
-    num = (1 - p11) * (1 - p00)
-    den = (1 - p10) * (1 - p01)
-    if num == 0.0:
-        checks.append(("absence ratio", 0.0, 1.0, 1.0))
-    else:
-        ratio = num / den
-        checks.append(("absence ratio", ratio, 1.0, 1.0 - ratio))
-    return _report("lemma_s7", checks)
+    return _report(
+        "lemma_s7",
+        [("p11 - p10 - p01 + p00", contrast, 0.0, contrast),
+         _ratio_check("absence", p11, p10, p01, p00)],
+    )
 
 
 def _selection_by_potential(s: PotentialOutcomeScenario, arm: int):
@@ -513,33 +504,6 @@ def _selection_by_potential(s: PotentialOutcomeScenario, arm: int):
     return levels, [nums[v] / totals[v] for v in levels]
 
 
-def _nu_by_pi(s: PotentialOutcomeScenario, arm: int):
-    """nu_a(pi) = E(Y | A=a, pi) over positive-mass propensity levels."""
-    levels = []
-    values = []
-    for k in range(s.n_pi):
-        if s.pi_pmf[k] == 0.0:
-            continue
-        if arm == 1:
-            den = fsum(p * t for p, t in zip(s.pair_pmf, s.treat[k]))
-            num = fsum(
-                p * t * y1 for (y1, _y0), p, t in zip(s.y_pairs, s.pair_pmf, s.treat[k])
-            )
-        else:
-            den = fsum(p * (1.0 - t) for p, t in zip(s.pair_pmf, s.treat[k]))
-            num = fsum(
-                p * (1.0 - t) * y0
-                for (_y1, y0), p, t in zip(s.y_pairs, s.pair_pmf, s.treat[k])
-            )
-        if den <= 0.0:
-            raise UndefinedConditionalError(
-                f"E(Y|A={arm}, pi={s.pi_support[k]!r}) undefined: empty arm"
-            )
-        levels.append(s.pi_support[k])
-        values.append(num / den)
-    return levels, values
-
-
 def check_thm4(s: PotentialOutcomeScenario) -> list[ConditionReport]:
     """General-confounder ordering conditions: selection is monotone in each
     potential outcome, and the propensity is non-positively associated with
@@ -551,13 +515,18 @@ def check_thm4(s: PotentialOutcomeScenario) -> list[ConditionReport]:
             _nondecreasing(probs, levels, f"Pr(A=1|Y({arm})): y {{lo}}->{{hi}}")
         )
     a = _report("thm4.a", checks)
+    strata = _po_strata(s)
     checks = []
     for arm in (0, 1):
-        levels, values = _nu_by_pi(s, arm)
-        weights = [p for p in s.pi_pmf if p > 0.0]
-        e_pi = fsum(w * lv for w, lv in zip(weights, levels))
-        e_nu = fsum(w * v for w, v in zip(weights, values))
-        cov = fsum(w * lv * v for w, lv, v in zip(weights, levels, values)) - e_pi * e_nu
+        levels = [(pi, w, nu[arm]) for pi, w, _mass1, *nu in strata]
+        for pi, _w, value in levels:
+            if value is None:
+                raise UndefinedConditionalError(
+                    f"E(Y|A={arm}, pi={pi!r}) undefined: empty arm"
+                )
+        e_pi = fsum(w * pi for pi, w, _v in levels)
+        e_nu = fsum(w * v for _pi, w, v in levels)
+        cov = fsum(w * pi * v for pi, w, v in levels) - e_pi * e_nu
         checks.append((f"cov(pi, E(Y|A={arm},pi))", -cov, 0.0, -cov))
     b = _report("thm4.b", checks)
     return [a, b]
@@ -795,18 +764,7 @@ def check_thm7(s: DiscreteScenario) -> list[ConditionReport]:
                                f"E(Y|A={arm}, z={s.z_support[i]!r}, .): u {{lo}}->{{hi}}")
             )
     mean_mono = _report("thm7.a.mean", checks)
-
-    mu0, mu1, _ = _mu_values(s)
-    used = [i for i in range(s.n_z) if s.z_pmf[i] > 0.0]
-    checks = []
-    for arm, mu in ((0, mu0), (1, mu1)):
-        values = [mu[i] for i in used]
-        labels = [s.z_support[i] for i in used]
-        checks.extend(
-            _nonincreasing(values, labels, f"E(Y|A={arm},Z): z {{lo}}->{{hi}}")
-        )
-    b = _report("thm7.b", checks)
-    return [treat_mono, mean_mono, b]
+    return [treat_mono, mean_mono, _outcome_by_z_report("thm7.b", s)]
 
 
 @dataclass(frozen=True)

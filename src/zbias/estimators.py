@@ -14,12 +14,18 @@ Adjustment can condition on the instrument itself (``on_z``) or on its
 propensity (``on_propensity``, which first merges levels with equal
 propensity).  Everything is an exact finite sum, accumulated with
 compensated summation over (z outer, u inner); nothing is sampled here.
+
+One core serves every world: one pass over cells (mass, Pr(A=1), y1, y0)
+gives the moments, and one standardisation over strata (level, mass, pi,
+mu0, mu1) gives the adjusted means.  Discrete worlds have a cell per (z, u)
+and a stratum per z; potential-outcome worlds a cell per (pi, pair) and a
+stratum per pi.  Slots are differences, or ratios, of moment pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, isfinite
+from math import fsum, isfinite, isinf, isnan
 from typing import Literal
 
 from .errors import (
@@ -36,6 +42,7 @@ from .scenario import (
     CovariateFamily,
     DiscreteScenario,
     PotentialOutcomeScenario,
+    _propensity_values,
     collapse_by_propensity,
     to_discrete,
 )
@@ -51,10 +58,17 @@ _JSON_KEYS = (
     "adj_control",
     "adj_all",
 )
+# Result fields written under another name.
+_JSON_NAMES = {"treated_fraction": "f"}
 
 
-def _fmt(value: float) -> str:
-    # 17 significant digits: round-trip exact for doubles.
+def _json_num(value: float) -> str:
+    # 17 significant digits round-trip a double; Python's json module spells
+    # the IEEE specials this way.
+    if isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    if isnan(value):
+        return "NaN"
     return f"{value:.17g}"
 
 
@@ -74,7 +88,8 @@ class EstimateSet:
     """The seven difference-scale estimands plus context.
 
     ``treated_fraction`` is Pr(A=1); whole-population slots are its convex
-    combinations of the treated/control slots (checked at construction).
+    combinations of the treated/control slots.  Both, and finiteness of
+    every number, are checked at construction.
     """
 
     true_treated: float
@@ -88,63 +103,42 @@ class EstimateSet:
     conditioning: str
 
     def __post_init__(self):
+        for key, value in vars(self).items():
+            if key != "conditioning" and not isfinite(value):
+                raise InvariantViolation(
+                    f"{value!r} is not finite", field=_JSON_NAMES.get(key, key)
+                )
+        self._check_totals()
+
+    def _check_totals(self) -> None:
         _check_convex(self.true_all, self.treated_fraction, self.true_treated,
                       self.true_control, "true_all")
         _check_convex(self.adj_all, self.treated_fraction, self.adj_treated,
                       self.adj_control, "adj_all")
 
     def to_json(self) -> str:
-        parts = [f'"{k}": {_fmt(getattr(self, k))}' for k in _JSON_KEYS]
-        parts.append(f'"f": {_fmt(self.treated_fraction)}')
-        parts.append(f'"conditioning": "{self.conditioning}"')
+        # One key per field, in declaration order.
+        parts = [
+            f'"{key}": "{value}"' if key == "conditioning"
+            else f'"{_JSON_NAMES.get(key, key)}": {_json_num(value)}'
+            for key, value in vars(self).items()
+        ]
         return "{" + ", ".join(parts) + "}"
 
 
 @dataclass(frozen=True)
-class DceSet:
+class DceSet(EstimateSet):
     """Distributional effects: the estimands of the indicator I(Y > threshold)."""
 
-    true_treated: float
-    true_control: float
-    true_all: float
-    unadj: float
-    adj_treated: float
-    adj_control: float
-    adj_all: float
-    treated_fraction: float
-    conditioning: str
     threshold: float
-
-    def __post_init__(self):
-        _check_convex(self.true_all, self.treated_fraction, self.true_treated,
-                      self.true_control, "true_all")
-        _check_convex(self.adj_all, self.treated_fraction, self.adj_treated,
-                      self.adj_control, "adj_all")
-
-    def to_json(self) -> str:
-        parts = [f'"{k}": {_fmt(getattr(self, k))}' for k in _JSON_KEYS]
-        parts.append(f'"f": {_fmt(self.treated_fraction)}')
-        parts.append(f'"conditioning": "{self.conditioning}"')
-        parts.append(f'"threshold": {_fmt(self.threshold)}')
-        return "{" + ", ".join(parts) + "}"
 
 
 @dataclass(frozen=True)
-class RrSet:
+class RrSet(EstimateSet):
     """Ratio-scale estimands; whole-population slots are mediants of the
     treated/control slots, so they lie between them (checked here)."""
 
-    true_treated: float
-    true_control: float
-    true_all: float
-    unadj: float
-    adj_treated: float
-    adj_control: float
-    adj_all: float
-    treated_fraction: float
-    conditioning: str
-
-    def __post_init__(self):
+    def _check_totals(self) -> None:
         for total, lo, hi, name in (
             (self.true_all, *sorted((self.true_treated, self.true_control)), "true_all"),
             (self.adj_all, *sorted((self.adj_treated, self.adj_control)), "adj_all"),
@@ -155,12 +149,6 @@ class RrSet:
                     f"whole-population ratio must lie between the treated and "
                     f"control ratios", field=name,
                 )
-
-    def to_json(self) -> str:
-        parts = [f'"{k}": {_fmt(getattr(self, k))}' for k in _JSON_KEYS]
-        parts.append(f'"f": {_fmt(self.treated_fraction)}')
-        parts.append(f'"conditioning": "{self.conditioning}"')
-        return "{" + ", ".join(parts) + "}"
 
 
 @dataclass(frozen=True)
@@ -174,51 +162,47 @@ class _Moments:
     y1_given_control: float    # E{Y(1) | A=0}
 
 
-def _cells(s: DiscreteScenario):
-    for i in range(s.n_z):
-        zw = s.z_pmf[i]
-        for j in range(s.n_u):
-            yield i, j, zw * s.u_pmf[j]
-
-
-def _moments(s: DiscreteScenario) -> _Moments:
-    f = fsum(w * s.treat[i][j] for i, j, w in _cells(s))
+def _cell_moments(cells, marginal) -> _Moments:
+    """The seven moments of a world given as cells (w, t, y1, y0): the
+    cell's mass, Pr(A=1) in it and its mean potential outcomes.  E{Y(1)} and
+    E{Y(0)} are summed over ``marginal``, atoms (p, y1, y0) of the law of
+    the potential outcomes alone."""
+    f = fsum(w * t for w, t, _y1, _y0 in cells)
     if not 0.0 < f < 1.0:
         raise DegeneratePopulationError(
             f"Pr(A=1) = {f!r}: conditional estimands need both arms populated"
         )
-    ey_treated = fsum(w * s.treat[i][j] * s.outcome_mean[1][i][j] for i, j, w in _cells(s)) / f
-    ey_control = (
-        fsum(w * (1.0 - s.treat[i][j]) * s.outcome_mean[0][i][j] for i, j, w in _cells(s))
-        / (1.0 - f)
+    return _Moments(
+        f,
+        fsum(w * t * y1 for w, t, y1, _y0 in cells) / f,
+        fsum(w * (1.0 - t) * y0 for w, t, _y1, y0 in cells) / (1.0 - f),
+        fsum(p * y1 for p, y1, _y0 in marginal),
+        fsum(p * y0 for p, _y1, y0 in marginal),
+        fsum(w * t * y0 for w, t, _y1, y0 in cells) / f,
+        fsum(w * (1.0 - t) * y1 for w, t, y1, _y0 in cells) / (1.0 - f),
     )
-    y0_given_treated = (
-        fsum(w * s.treat[i][j] * s.outcome_mean[0][i][j] for i, j, w in _cells(s)) / f
-    )
-    y1_given_control = (
-        fsum(w * (1.0 - s.treat[i][j]) * s.outcome_mean[1][i][j] for i, j, w in _cells(s))
-        / (1.0 - f)
-    )
-    y1_mean = fsum(w * s.outcome_mean[1][i][j] for i, j, w in _cells(s))
-    y0_mean = fsum(w * s.outcome_mean[0][i][j] for i, j, w in _cells(s))
-    return _Moments(f, ey_treated, ey_control, y1_mean, y0_mean,
-                    y0_given_treated, y1_given_control)
 
 
-def _propensity_list(s: DiscreteScenario) -> list[float]:
-    return [fsum(s.u_pmf[j] * s.treat[i][j] for j in range(s.n_u)) for i in range(s.n_z)]
+def _moments(s: DiscreteScenario) -> _Moments:
+    """Moments of a discrete world: one cell per (z, u), z outer."""
+    cells = [
+        (zw * uw, t, y1, y0)
+        for zw, t_row, y1_row, y0_row in zip(
+            s.z_pmf, s.treat, s.outcome_mean[1], s.outcome_mean[0]
+        )
+        for uw, t, y1, y0 in zip(s.u_pmf, t_row, y1_row, y0_row)
+    ]
+    return _cell_moments(cells, [(w, y1, y0) for w, _t, y1, y0 in cells])
 
 
 def _mu_values(s: DiscreteScenario):
-    """Per-level conditional outcome means mu_a(z), skipping zero-mass levels.
-
-    Returns (mu0, mu1, pi) lists indexed like z_support; entries are None at
-    zero-mass levels.  Raises UndefinedStratumError when a positive-mass
+    """Strata (z, weight, pi, mu0, mu1) of the positive-mass instrument
+    levels, in support order: Pr(Z=z), the propensity and the conditional
+    outcome means mu_a(z).  Raises UndefinedStratumError when a positive-mass
     level has an empty treatment arm.
     """
-    pi = _propensity_list(s)
-    mu0: list[float | None] = [None] * s.n_z
-    mu1: list[float | None] = [None] * s.n_z
+    pi = _propensity_values(s)
+    strata = []
     for i in range(s.n_z):
         if s.z_pmf[i] == 0.0:
             continue
@@ -230,14 +214,74 @@ def _mu_values(s: DiscreteScenario):
             raise UndefinedStratumError(
                 f"E(Y|A=0, Z={s.z_support[i]!r}) undefined: Pr(A=0|Z=z) = 0"
             )
-        mu1[i] = fsum(
+        mu1 = fsum(
             s.u_pmf[j] * s.treat[i][j] * s.outcome_mean[1][i][j] for j in range(s.n_u)
         ) / pi[i]
-        mu0[i] = fsum(
+        mu0 = fsum(
             s.u_pmf[j] * (1.0 - s.treat[i][j]) * s.outcome_mean[0][i][j]
             for j in range(s.n_u)
         ) / (1.0 - pi[i])
-    return mu0, mu1, pi
+        strata.append((s.z_support[i], s.z_pmf[i], pi[i], mu0, mu1))
+    return strata
+
+
+def _po_strata(s: PotentialOutcomeScenario):
+    """Strata (pi, weight, arm-1 mass, nu0, nu1) of the positive-mass
+    propensity levels, in support order: nu_a(pi) = E(Y | A=a, pi) divides by
+    the arm's own mass, and is None when that arm is empty."""
+    strata = []
+    for k in range(s.n_pi):
+        if s.pi_pmf[k] == 0.0:
+            continue
+        row = tuple(zip(s.pair_pmf, s.treat[k], s.y_pairs))
+        mass1 = fsum(p * t for p, t, _y in row)
+        mass0 = fsum(p * (1.0 - t) for p, t, _y in row)
+        nu1 = fsum(p * t * y1 for p, t, (y1, _y0) in row) / mass1 if mass1 > 0.0 else None
+        nu0 = fsum(p * (1.0 - t) * y0 for p, t, (_y1, y0) in row) / mass0 if mass0 > 0.0 else None
+        strata.append((s.pi_support[k], s.pi_pmf[k], mass1, nu0, nu1))
+    return strata
+
+
+def _standardise(strata, f: float) -> tuple[float, float, float, float]:
+    """(int1_all, int0_all, int0_treated, int1_control): the stratum outcome
+    means standardised over the law of the strata, of the strata given A=1
+    and of the strata given A=0.  ``f`` is Pr(A=1)."""
+    return (
+        fsum(w * mu1 for _lv, w, _pi, _mu0, mu1 in strata),
+        fsum(w * mu0 for _lv, w, _pi, mu0, _mu1 in strata),
+        fsum(w * pi * mu0 for _lv, w, pi, mu0, _mu1 in strata) / f,
+        fsum(w * (1.0 - pi) * mu1 for _lv, w, pi, _mu0, mu1 in strata) / (1.0 - f),
+    )
+
+
+def _true_pairs(m: _Moments):
+    """The true slots as (minuend, subtrahend) pairs: a difference on the
+    difference scale, numerator and denominator on the ratio scale."""
+    return (
+        (m.ey_treated, m.y0_given_treated),
+        (m.y1_given_control, m.ey_control),
+        (m.y1_mean, m.y0_mean),
+    )
+
+
+def _adjusted_pairs(m: _Moments, means):
+    """The adjusted slots as pairs; ``means`` is a _standardise result."""
+    int1_all, int0_all, int0_treated, int1_control = means
+    return (
+        (m.ey_treated, int0_treated),
+        (int1_control, m.ey_control),
+        (int1_all, int0_all),
+    )
+
+
+def _slot_pairs(m: _Moments, m_adj: _Moments, means) -> tuple:
+    """All seven slots as pairs, in _JSON_KEYS order; the adjusted slots
+    take their observed arm means from ``m_adj``."""
+    return (*_true_pairs(m), (m.ey_treated, m.ey_control), *_adjusted_pairs(m_adj, means))
+
+
+def _differences(pairs) -> tuple:
+    return tuple(a - b for a, b in pairs)
 
 
 def _require_no_direct_effect(s: DiscreteScenario, allow_direct_effect: bool) -> None:
@@ -249,39 +293,17 @@ def _require_no_direct_effect(s: DiscreteScenario, allow_direct_effect: bool) ->
         )
 
 
-def _true_slots(m: _Moments) -> tuple[float, float, float]:
-    return (
-        m.ey_treated - m.y0_given_treated,
-        m.y1_given_control - m.ey_control,
-        m.y1_mean - m.y0_mean,
-    )
-
-
-def _standardised_means(s: DiscreteScenario, m: _Moments) -> tuple[float, float, float, float]:
-    """(int1_all, int0_all, int0_treated, int1_control): the outcome means
-    mu_a(z) standardised over the law of Z, of Z given A=1 and of Z given A=0.
-    ``m`` holds the moments of ``s``."""
-    mu0, mu1, pi = _mu_values(s)
-    used = [i for i in range(s.n_z) if s.z_pmf[i] > 0.0]
-    int1_all = fsum(s.z_pmf[i] * mu1[i] for i in used)
-    int0_all = fsum(s.z_pmf[i] * mu0[i] for i in used)
-    int0_treated = fsum(s.z_pmf[i] * pi[i] * mu0[i] for i in used) / m.f
-    int1_control = fsum(s.z_pmf[i] * (1.0 - pi[i]) * mu1[i] for i in used) / (1.0 - m.f)
-    return int1_all, int0_all, int0_treated, int1_control
-
-
-def _adjusted_slots(s: DiscreteScenario, m: _Moments) -> tuple[float, float, float]:
-    int1_all, int0_all, int0_treated, int1_control = _standardised_means(s, m)
-    return (
-        m.ey_treated - int0_treated,
-        int1_control - m.ey_control,
-        int1_all - int0_all,
-    )
-
-
 def _check_conditioning(conditioning: str) -> None:
     if conditioning not in ("on_z", "on_propensity"):
         raise InvariantViolation(f"unknown conditioning {conditioning!r}", field="conditioning")
+
+
+def _adjustment(s: DiscreteScenario, m: _Moments, conditioning: str, merge_tol: float):
+    """Moments and standardised means of the world adjustment conditions on:
+    ``s`` itself or its propensity collapse.  ``m`` holds the moments of ``s``."""
+    world = s if conditioning == "on_z" else collapse_by_propensity(s, merge_tol)
+    m_world = m if world is s else _moments(world)
+    return m_world, _standardise(_mu_values(world), m_world.f)
 
 
 def true_ace(
@@ -294,7 +316,7 @@ def true_ace(
     law of (Z, U) given the relevant arm instead.
     """
     _require_no_direct_effect(s, allow_direct_effect)
-    return _true_slots(_moments(s))
+    return _differences(_true_pairs(_moments(s)))
 
 
 def unadjusted_ace(s: DiscreteScenario) -> float:
@@ -315,7 +337,8 @@ def adjusted_ace(
     """
     _check_conditioning(conditioning)
     world = s if conditioning == "on_z" else collapse_by_propensity(s, merge_tol)
-    return _adjusted_slots(world, _moments(world))
+    m = _moments(world)
+    return _differences(_adjusted_pairs(m, _standardise(_mu_values(world), m.f)))
 
 
 def adjusted_minus_unadjusted_via_covariance(
@@ -330,14 +353,13 @@ def adjusted_minus_unadjusted_via_covariance(
     difference of the estimators.
     """
     m = _moments(s)
-    mu0, mu1, pi = _mu_values(s)
-    used = [i for i in range(s.n_z) if s.z_pmf[i] > 0.0]
-    e_pi = fsum(s.z_pmf[i] * pi[i] for i in used)
-    cov0 = fsum(s.z_pmf[i] * pi[i] * mu0[i] for i in used) - e_pi * fsum(
-        s.z_pmf[i] * mu0[i] for i in used
+    strata = _mu_values(s)
+    e_pi = fsum(w * pi for _z, w, pi, _mu0, _mu1 in strata)
+    cov0 = fsum(w * pi * mu0 for _z, w, pi, mu0, _mu1 in strata) - e_pi * fsum(
+        w * mu0 for _z, w, _pi, mu0, _mu1 in strata
     )
-    cov1 = fsum(s.z_pmf[i] * pi[i] * mu1[i] for i in used) - e_pi * fsum(
-        s.z_pmf[i] * mu1[i] for i in used
+    cov1 = fsum(w * pi * mu1 for _z, w, pi, _mu0, mu1 in strata) - e_pi * fsum(
+        w * mu1 for _z, w, _pi, _mu0, mu1 in strata
     )
     denom = m.f * (1.0 - m.f)
     return (
@@ -359,21 +381,9 @@ def estimates(
     # empty arm, direct effect, conditioning.
     m = _moments(s)
     _require_no_direct_effect(s, allow_direct_effect)
-    tt, tc, ta = _true_slots(m)
     _check_conditioning(conditioning)
-    world = s if conditioning == "on_z" else collapse_by_propensity(s, merge_tol)
-    at, ac, aa = _adjusted_slots(world, m if world is s else _moments(world))
-    return EstimateSet(
-        true_treated=tt,
-        true_control=tc,
-        true_all=ta,
-        unadj=m.ey_treated - m.ey_control,
-        adj_treated=at,
-        adj_control=ac,
-        adj_all=aa,
-        treated_fraction=m.f,
-        conditioning=conditioning,
-    )
+    m_world, means = _adjustment(s, m, conditioning, merge_tol)
+    return EstimateSet(*_differences(_slot_pairs(m, m_world, means)), m.f, conditioning)
 
 
 def dce(
@@ -415,18 +425,7 @@ def dce(
         binary_outcome=True,
     )
     e = estimates(dichotomized, conditioning, merge_tol=merge_tol)
-    return DceSet(
-        true_treated=e.true_treated,
-        true_control=e.true_control,
-        true_all=e.true_all,
-        unadj=e.unadj,
-        adj_treated=e.adj_treated,
-        adj_control=e.adj_control,
-        adj_all=e.adj_all,
-        treated_fraction=e.treated_fraction,
-        conditioning=e.conditioning,
-        threshold=float(threshold),
-    )
+    return DceSet(**vars(e), threshold=float(threshold))
 
 
 def rr(
@@ -450,26 +449,15 @@ def rr(
     _check_conditioning(conditioning)
     _require_no_direct_effect(s, allow_direct_effect=False)
     m = _moments(s)
-    world = s if conditioning == "on_z" else collapse_by_propensity(s, merge_tol)
-    int1_all, int0_all, int0_treated, int1_control = _standardised_means(
-        world, m if world is s else _moments(world)
-    )
-
-    slots = {
-        "true_treated": (m.ey_treated, m.y0_given_treated),
-        "true_control": (m.y1_given_control, m.ey_control),
-        "true_all": (m.y1_mean, m.y0_mean),
-        "unadj": (m.ey_treated, m.ey_control),
-        "adj_treated": (m.ey_treated, int0_treated),
-        "adj_control": (int1_control, m.ey_control),
-        "adj_all": (int1_all, int0_all),
-    }
-    values = {}
-    for name, (num, den) in slots.items():
+    _m_world, means = _adjustment(s, m, conditioning, merge_tol)
+    # The adjusted ratios take the observed arm means of ``s`` itself, not of
+    # the collapsed world (the two agree up to rounding); the bytes rely on it.
+    values = []
+    for name, (num, den) in zip(_JSON_KEYS, _slot_pairs(m, m, means)):
         if den <= 0.0:
             raise ZeroDenominatorError(f"{name}: denominator {den!r} is not positive")
-        values[name] = num / den
-    return RrSet(treated_fraction=m.f, conditioning=conditioning, **values)
+        values.append(num / den)
+    return RrSet(*values, m.f, conditioning)
 
 
 def covariate_average(
@@ -499,16 +487,15 @@ def covariate_average(
         st.weight * (1.0 - e.treated_fraction) / (1.0 - f_bar)
         for st, e in zip(active, per)
     ]
+    w_all = [st.weight for st in active]
+    by_slot = (w_treated, w_control, w_all, w_all, w_treated, w_control, w_all)
     return EstimateSet(
-        true_treated=fsum(w * e.true_treated for w, e in zip(w_treated, per)),
-        true_control=fsum(w * e.true_control for w, e in zip(w_control, per)),
-        true_all=fsum(st.weight * e.true_all for st, e in zip(active, per)),
-        unadj=fsum(st.weight * e.unadj for st, e in zip(active, per)),
-        adj_treated=fsum(w * e.adj_treated for w, e in zip(w_treated, per)),
-        adj_control=fsum(w * e.adj_control for w, e in zip(w_control, per)),
-        adj_all=fsum(st.weight * e.adj_all for st, e in zip(active, per)),
-        treated_fraction=f_bar,
-        conditioning=conditioning,
+        *(
+            fsum(w * getattr(e, key) for w, e in zip(weights, per))
+            for key, weights in zip(_JSON_KEYS, by_slot)
+        ),
+        f_bar,
+        conditioning,
     )
 
 
@@ -519,64 +506,18 @@ def po_estimates(s: PotentialOutcomeScenario) -> EstimateSet:
     straight from the joint law and the treatment table; adjustment
     conditions on the propensity.
     """
-
-    def atoms():
-        for k in range(s.n_pi):
-            kw = s.pi_pmf[k]
-            for j, (y1, y0) in enumerate(s.y_pairs):
-                yield k, j, y1, y0, kw * s.pair_pmf[j], s.treat[k][j]
-
-    f = fsum(w * t for *_ignored, w, t in atoms())
-    if not 0.0 < f < 1.0:
-        raise DegeneratePopulationError(
-            f"Pr(A=1) = {f!r}: conditional estimands need both arms populated"
-        )
-    ey_treated = fsum(w * t * y1 for _k, _j, y1, _y0, w, t in atoms()) / f
-    ey_control = fsum(w * (1.0 - t) * y0 for _k, _j, _y1, y0, w, t in atoms()) / (1.0 - f)
-    y0_given_treated = fsum(w * t * y0 for _k, _j, _y1, y0, w, t in atoms()) / f
-    y1_given_control = fsum(w * (1.0 - t) * y1 for _k, _j, y1, _y0, w, t in atoms()) / (1.0 - f)
-    y1_mean = fsum(p * y1 for (y1, _y0), p in zip(s.y_pairs, s.pair_pmf))
-    y0_mean = fsum(p * y0 for (_y1, y0), p in zip(s.y_pairs, s.pair_pmf))
-
-    # nu_a(pi): outcome means inside each propensity stratum.
-    nu0: list[float] = []
-    nu1: list[float] = []
-    arm1_mass: list[float] = []
-    for k in range(s.n_pi):
-        mass1 = fsum(p * t for p, t in zip(s.pair_pmf, s.treat[k]))
-        mass0 = fsum(p * (1.0 - t) for p, t in zip(s.pair_pmf, s.treat[k]))
-        if s.pi_pmf[k] > 0.0 and (mass1 <= 0.0 or mass0 <= 0.0):
+    marginal = [(p, y1, y0) for p, (y1, y0) in zip(s.pair_pmf, s.y_pairs)]
+    cells = [
+        (kw * p, t, y1, y0)
+        for kw, row in zip(s.pi_pmf, s.treat)
+        for (p, y1, y0), t in zip(marginal, row)
+    ]
+    m = _cell_moments(cells, marginal)
+    strata = _po_strata(s)
+    for pi, _w, _mass1, nu0, nu1 in strata:
+        if nu0 is None or nu1 is None:
             raise DegeneratePopulationError(
-                f"propensity stratum pi={s.pi_support[k]!r} has an empty treatment arm"
+                f"propensity stratum pi={pi!r} has an empty treatment arm"
             )
-        arm1_mass.append(mass1)
-        if s.pi_pmf[k] == 0.0 and (mass1 <= 0.0 or mass0 <= 0.0):
-            nu1.append(0.0)
-            nu0.append(0.0)
-            continue
-        nu1.append(
-            fsum(p * t * y1 for (y1, _y0), p, t in zip(s.y_pairs, s.pair_pmf, s.treat[k]))
-            / mass1
-        )
-        nu0.append(
-            fsum(p * (1.0 - t) * y0 for (_y1, y0), p, t in zip(s.y_pairs, s.pair_pmf, s.treat[k]))
-            / mass0
-        )
-
-    int1_all = fsum(s.pi_pmf[k] * nu1[k] for k in range(s.n_pi))
-    int0_all = fsum(s.pi_pmf[k] * nu0[k] for k in range(s.n_pi))
-    int0_treated = fsum(s.pi_pmf[k] * arm1_mass[k] * nu0[k] for k in range(s.n_pi)) / f
-    int1_control = (
-        fsum(s.pi_pmf[k] * (1.0 - arm1_mass[k]) * nu1[k] for k in range(s.n_pi)) / (1.0 - f)
-    )
-    return EstimateSet(
-        true_treated=ey_treated - y0_given_treated,
-        true_control=y1_given_control - ey_control,
-        true_all=y1_mean - y0_mean,
-        unadj=ey_treated - ey_control,
-        adj_treated=ey_treated - int0_treated,
-        adj_control=int1_control - ey_control,
-        adj_all=int1_all - int0_all,
-        treated_fraction=f,
-        conditioning="on_propensity",
-    )
+    means = _standardise(strata, m.f)
+    return EstimateSet(*_differences(_slot_pairs(m, m, means)), m.f, "on_propensity")

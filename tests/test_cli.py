@@ -304,3 +304,50 @@ def test_scatter_non_utf8_path_is_ascii_escaped(tmp_path):
     accented = tmp_path / "café.csv"
     cp = run_cli("scatter", "--draws", "5", "--seed", "3", "--out", str(accented))
     assert cp.stdout == '{"rows": 5, "out": "%s"}\n' % accented
+
+
+def _binary_file(tmp_path, **values):
+    """The worked case with some values replaced; outcome means may leave
+    [0, 1], so the outcome is declared non-binary."""
+    lines = [
+        f"{line.split(' =')[0]} = {values[line.split(' =')[0]]}"
+        if line.split(" =")[0] in values else line
+        for line in CASE1_TEXT.splitlines()
+    ]
+    path = tmp_path / "world.scn"
+    path.write_text("\n".join(lines + ["binary_outcome = false"]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, means",
+    [
+        # Means of +-1e308 overflow every difference.
+        ("eval", dict(r11="1e308", r10="1e308", r01="-1e308", r00="-1e308")),
+        # A subnormal denominator overflows the ratio.
+        ("rr", dict(r11="1.7e308", r10="1.7e308", r01="1e-320", r00="1e-320")),
+    ],
+)
+def test_non_finite_result_is_one_line_exit_1(tmp_path, command, means):
+    cp = run_cli(command, _binary_file(tmp_path, **means))
+    assert cp.returncode == 1
+    assert cp.stdout == ""
+    assert cp.stderr == "error: true_treated: inf is not finite\n"
+
+
+@pytest.mark.parametrize(
+    "theorem, cells, message",
+    [
+        ("lemma_s5", dict(p11="0.5", p10="0", p01="0.5", p00="1e-10"),
+         "presence ratio undefined: p10 = 0"),
+        ("lemma_s7", dict(p11="0.9999999999", p10="1", p01="0.49999999995", p00="0.5"),
+         "absence ratio undefined: 1-p10 = 0"),
+    ],
+)
+def test_lemma_zero_denominator_names_the_zero_factor(tmp_path, theorem, cells, message):
+    path = _binary_file(tmp_path, **cells)
+    for name in (theorem, "weaker"):
+        cp = run_cli("check", path, "--theorem", name)
+        assert cp.returncode == 1
+        assert cp.stdout == ""
+        assert cp.stderr == f"error: {message}\n"

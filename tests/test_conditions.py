@@ -585,3 +585,10 @@ def test_thm1_sweep_compact():
         v = zbias_verdict(estimates(s))
         assert all(slot.signed_ordering for slot in v.slots)
         kept += 1
+
+
+def test_ratio_denominator_underflow_is_a_zero_denominator():
+    # Neither factor is zero, but their product underflows.
+    s = binary_from_params(0.5, 0.5, 0.5, 1e-200, 1e-200, 0.5, 0.1, 0.1, 0.1, 0.1)
+    with pytest.raises(ZeroDenominatorError, match=r"^presence ratio undefined: p10\*p01 = 0$"):
+        check_weaker_condition(s)
