@@ -8,7 +8,9 @@ exception, reported as ``error: internal: ...`` instead of a traceback).
 Every error prints exactly one diagnostic line on stderr.  The environment
 variable ZBIAS_THREADS caps Monte Carlo parallelism (0 or unset means
 sequential; larger values are clamped to the number of 32768-draw chunks
-and of CPUs).
+and of CPUs): ``mc`` uses threads, ``scatter`` worker processes.
+``scatter`` writes its CSV to a temporary file that replaces ``--out`` only
+once every row is written.
 """
 
 from __future__ import annotations

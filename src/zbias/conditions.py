@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import fsum
 
 from .errors import (
+    InvariantViolation,
     NonBinaryOutcomeError,
     NonpositiveCellError,
     PremiseViolationError,
@@ -51,18 +52,21 @@ class ConditionReport:
         object.__setattr__(self, "witnesses", tuple(self.witnesses))
         consistent = self.holds == (not self.witnesses) == (self.margin >= -IDENTITY_TOL)
         if not consistent:
-            raise AssertionError(f"inconsistent report for {self.condition_id}")
+            raise InvariantViolation(f"inconsistent report for {self.condition_id}")
 
     def to_json(self) -> str:
+        """One JSON object; an infinite margin (nothing to compare) is
+        written as ``null``, since JSON has no infinity."""
         cells = ", ".join(
             '{"cell": %s, "lhs": %s, "rhs": %s}'
             % (_json_str(w.cell), _json_num(w.lhs), _json_num(w.rhs))
             for w in self.witnesses
         )
+        margin = "null" if self.margin == math.inf else _json_num(self.margin)
         return (
             '{"condition_id": %s, "holds": %s, "margin": %s, "witnesses": [%s]}'
             % (_json_str(self.condition_id), "true" if self.holds else "false",
-               _json_num(self.margin), cells)
+               margin, cells)
         )
 
 
@@ -80,7 +84,8 @@ def _report(condition_id: str, checks) -> ConditionReport:
     """Build a report from (cell, lhs, rhs, slack) comparisons.
 
     A comparison is violated when its slack drops below -1e-12; the margin
-    is the minimal slack (infinite when there is nothing to compare).  A
+    is the minimal slack (infinite when there is nothing to compare, and
+    then ``null`` in JSON).  A
     cell is a string, or a (format, lo, hi) triple formatted only when its
     comparison is violated.
     """

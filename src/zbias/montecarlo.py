@@ -9,14 +9,19 @@ Determinism: every draw is keyed by (seed, draw index) through the
 counter-based streams in ``zbias.rng``, so results are independent of chunk
 size and worker count; (seed, draws) fixes every output bit.  Degenerate
 draws (a treatment-side uniform equal to exactly 0.0, which would empty a
-conditioning event) are redrawn from the draw's retry region and logged.
+conditioning event) are redrawn from the draw's retry region and logged in
+draw order, whatever the worker count.
 """
 
 from __future__ import annotations
 
+import errno
 import logging
 import os
+import stat
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass
 from math import sqrt
 
@@ -127,23 +132,38 @@ def _degenerate(row) -> bool:
     return bool(np.any(row[:6] == 0.0))
 
 
-def _params_matrix(seed: int, start: int, count: int) -> np.ndarray:
-    """Parameters of draws [start, start + count), degenerate rows redrawn."""
+def _param_draws(seed: int, start: int, count: int) -> tuple[np.ndarray, list[int]]:
+    """Parameters of draws [start, start + count), degenerate rows redrawn,
+    and the draw index of every redraw made, in draw order."""
     rows = primary_uniforms(seed, start, count)[:, :PARAMS_PER_DRAW]
+    redraws = []
     # A zero has probability 2**-53 per word: one whole-chunk test is the
     # normal path, the per-row scan runs only when it fires.
     if not (rows[:, :6] == 0.0).any():
-        return rows
+        return rows, redraws
     bad = np.nonzero(rows[:, :6].min(axis=1) == 0.0)[0]
     for offset in bad:
         index = start + int(offset)
         attempt = 0
         row = rows[offset]
         while _degenerate(row):
-            log.warning("degenerate draw %d (seed %d): redrawing", index, seed)
+            redraws.append(index)
             row = retry_uniforms(seed, index, attempt)[:PARAMS_PER_DRAW]
             attempt += 1
         rows[offset] = row
+    return rows, redraws
+
+
+def _log_redraws(seed: int, redraws) -> None:
+    for index in redraws:
+        log.warning("degenerate draw %d (seed %d): redrawing", index, seed)
+
+
+def _params_matrix(seed: int, start: int, count: int) -> np.ndarray:
+    """Parameters of draws [start, start + count), degenerate rows redrawn
+    and logged."""
+    rows, redraws = _param_draws(seed, start, count)
+    _log_redraws(seed, redraws)
     return rows
 
 
@@ -215,13 +235,21 @@ def _sort_outcome_means(rows: np.ndarray) -> None:
         rows[swap, high], rows[swap, low] = rows[swap, low], rows[swap, high]
 
 
-def _chunk_params(cfg: McConfig, start: int, count: int) -> np.ndarray:
-    rows = _params_matrix(cfg.seed, start, count)
+def _chunk_draws(cfg: McConfig, start: int, count: int) -> tuple[np.ndarray, list[int]]:
+    # The redraws are returned, not logged, so that the caller can log them
+    # in draw order whichever thread or process made the chunk.
+    rows, redraws = _param_draws(cfg.seed, start, count)
     if cfg.filter:
         if cfg.filter[0] == "cor1":
             _project_cor1(rows, cfg.seed, start)
         else:
             _project_cor2(rows, cfg.seed, start)
+    return rows, redraws
+
+
+def _chunk_params(cfg: McConfig, start: int, count: int) -> np.ndarray:
+    rows, redraws = _chunk_draws(cfg, start, count)
+    _log_redraws(cfg.seed, redraws)
     return rows
 
 
@@ -379,11 +407,13 @@ def estimate_volume(cfg: McConfig, threads: int | None = None) -> McResult:
     standard error; exact ties are excluded from the count and reported."""
 
     def work(chunk):
-        start, count = chunk
-        amplified, tie = _classify(*population_biases(_chunk_params(cfg, start, count)))
-        return int(amplified.sum()), int(tie.sum())
+        rows, redraws = _chunk_draws(cfg, *chunk)
+        amplified, tie = _classify(*population_biases(rows))
+        return int(amplified.sum()), int(tie.sum()), redraws
 
     results = _map_chunks(work, cfg.draws, threads)
+    for _count, _ties, redraws in results:
+        _log_redraws(cfg.seed, redraws)
     count = sum(r[0] for r in results)
     ties = sum(r[1] for r in results)
     volume = count / cfg.draws
@@ -396,32 +426,121 @@ def estimate_volume(cfg: McConfig, threads: int | None = None) -> McResult:
     )
 
 
+def _scatter_block(cfg: McConfig, chunk: tuple[int, int]) -> tuple[bytes, list[int]]:
+    """CSV rows of one chunk of draws, each ending in a newline, and the
+    redraws made for them.
+
+    The one row formatter of ``export_scatter``, run in-process when it is
+    sequential and in worker processes otherwise.  A worker receives only
+    ``(cfg, chunk)`` and regenerates the chunk from its Philox counters.
+    """
+    rows, redraws = _chunk_draws(cfg, *chunk)
+    bias_adj, bias_unadj = population_biases(rows)
+    amplified, _ = _classify(bias_adj, bias_unadj)
+    lines = []
+    for row, ba, bu, flag in zip(rows, bias_adj, bias_unadj, amplified):
+        # tolist() gives Python floats, whose repr is the same shortest
+        # round-trip text, without a numpy scalar and a float() per cell.
+        cells = list(map(repr, row.tolist()))
+        cells.append(repr(float(ba)))
+        cells.append(repr(float(bu)))
+        cells.append("true" if flag else "false")
+        lines.append(",".join(cells))
+    lines.append("")
+    text = "\n".join(lines)
+    del lines  # at most two copies of the block are alive at once
+    return text.encode("ascii"), redraws
+
+
+def _scatter_blocks(cfg: McConfig, plan, workers: int):
+    """``_scatter_block`` of every chunk of ``plan``, in draw order.
+
+    With more than one worker the blocks are formatted in a process pool:
+    ``float.__repr__`` holds the GIL, so threads cannot share that work.  At
+    most ``workers + 1`` chunks are submitted and not yet consumed, so
+    memory does not grow with the draw count.
+    """
+    if workers == 1:
+        for chunk in plan:
+            yield _scatter_block(cfg, chunk)
+        return
+    # Imported here: at module top they add about 20 ms to ``import zbias``.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # A forked worker starts with the imported package (no re-import per
+    # call) and runs only _scatter_block, which takes no lock of the parent.
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
+    try:
+        window = deque()
+        for chunk in plan:
+            window.append(pool.submit(_scatter_block, cfg, chunk))
+            if len(window) > workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+@contextmanager
+def _replacing(path):
+    """Binary handle whose bytes become the file at ``path`` only when the
+    ``with`` block completes.
+
+    The bytes go to a temporary file beside the target, which ``os.replace``
+    moves over it; on any exception the temporary file is removed and the
+    target is left as it was.  A symlink is followed to the file it names.
+    A new file gets the mode ``open(path, "w")`` would give it, an existing
+    one keeps its mode.  A target that exists and is not a regular file (a
+    FIFO, a device) is written in place: replacing it would destroy the node.
+    """
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "wb") as handle:
+            yield handle
+        return
+    if mode is not None and not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    head, tail = os.path.split(target)
+    temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        # Mode 0o666 less the umask, as open() creates files.
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "wb") as handle:
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
+            yield handle
+        os.replace(temp, target)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(temp)
+        raise
+
+
 def export_scatter(cfg: McConfig, path, threads: int | None = None) -> int:
     """Write one CSV row per draw: the ten parameters, both biases, and the
-    amplification flag.  Returns the data row count."""
+    amplification flag.  Returns the data row count.
 
-    def work(chunk):
-        start, count = chunk
-        params = _chunk_params(cfg, start, count)
-        bias_adj, bias_unadj = population_biases(params)
-        amplified, _ = _classify(bias_adj, bias_unadj)
-        lines = []
-        for row, ba, bu, flag in zip(params, bias_adj, bias_unadj, amplified):
-            # tolist() gives Python floats, whose repr is the same shortest
-            # round-trip text, without a numpy scalar and a float() per cell.
-            cells = list(map(repr, row.tolist()))
-            cells.append(repr(float(ba)))
-            cells.append(repr(float(bu)))
-            cells.append("true" if flag else "false")
-            lines.append(",".join(cells))
-        return "\n".join(lines)
-
-    blocks = _map_chunks(work, cfg.draws, threads)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(SCATTER_HEADER + "\n")
-        for block in blocks:
-            # Two writes: ``block + "\n"`` would copy a whole block (about
-            # 7.5 MB per chunk) at the point of peak memory.
+    Chunks are streamed to ``path`` in draw order, and the file appears
+    only once every row is written.  With more than one worker (see
+    ``_thread_count``) the rows are formatted in worker processes; the bytes
+    do not depend on the worker count.
+    """
+    plan = _chunks(cfg.draws)
+    workers = _thread_count(_requested_threads(threads), len(plan), os.cpu_count())
+    with _replacing(path) as handle, closing(_scatter_blocks(cfg, plan, workers)) as blocks:
+        handle.write(SCATTER_HEADER.encode("ascii") + b"\n")
+        for block, redraws in blocks:
+            _log_redraws(cfg.seed, redraws)
             handle.write(block)
-            handle.write("\n")
+            del block  # not kept alive while the next chunk is formatted
     return cfg.draws

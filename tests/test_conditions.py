@@ -8,7 +8,9 @@ import pytest
 
 from conftest import binary_from_params, worked_case
 from zbias import (
+    ConditionReport,
     DiscreteScenario,
+    InvariantViolation,
     NonBinaryOutcomeError,
     NonpositiveCellError,
     PotentialOutcomeScenario,
@@ -35,9 +37,12 @@ from zbias import (
     outcome_odds_ratio,
     po_estimates,
     reports_to_json,
+    serialize_scenario,
     to_discrete,
     zbias_verdict,
 )
+from zbias import conditions
+from zbias.cli import main
 
 
 def additive_model_scenario(base=0.1, u_slope=0.3, z_slope=0.2, means=None):
@@ -514,10 +519,30 @@ def test_single_level_support_is_vacuously_monotone():
     assert reports["thm1.a1"].holds
     assert reports["thm1.a1"].margin == math.inf
     assert reports["thm1.b"].holds
-    parsed = json.loads(reports_to_json(check_thm1(s)))
-    assert parsed[0]["margin"] == math.inf
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    parsed = json.loads(reports_to_json(check_thm1(s)), parse_constant=reject)
+    assert parsed[0]["margin"] is None
     e = estimates(s)
     assert e.adj_all == pytest.approx(e.unadj, abs=1e-15)
+
+
+def test_inconsistent_report_is_an_invariant_violation(tmp_path, monkeypatch, capsys):
+    # A NaN margin is neither a pass nor a fail: exit 1, not an internal error.
+    with pytest.raises(InvariantViolation, match="inconsistent report for thm1.b"):
+        ConditionReport("thm1.b", True, math.nan, ())
+    with pytest.raises(InvariantViolation):
+        ConditionReport("thm1.b", True, -1.0, ())
+    monkeypatch.setattr(conditions, "check_thm1",
+                        lambda s: [ConditionReport("thm1.b", True, math.nan, ())])
+    path = tmp_path / "case1.scn"
+    path.write_text(serialize_scenario(worked_case("case1")))
+    assert main(["check", str(path), "--theorem", "thm1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: inconsistent report for thm1.b\n"
 
 
 def test_report_json_shape(case1):

@@ -4,6 +4,12 @@ import contextlib
 import hashlib
 import io
 import math
+import os
+import stat
+import subprocess
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -623,3 +629,185 @@ def test_scatter_csv_is_golden(tmp_path, monkeypatch, seed, draws, threads):
                      "--out", str(path)]) == 0
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_SCATTER_SHA256[(seed, draws)]
+
+
+# ---------------------------------------------------------------------------
+# Streaming export: worker processes, bounded window, atomic replacement
+
+SMALL_CHUNK = 1_000
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_failed_scatter_leaves_target_untouched(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
+    real = montecarlo._chunk_draws
+
+    def failing(cfg, start, count):
+        # Forked workers inherit the patch.
+        if start == SMALL_CHUNK:
+            raise OSError(28, "No space left on device")
+        return real(cfg, start, count)
+
+    monkeypatch.setattr(montecarlo, "_chunk_draws", failing)
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"previous\n")
+    monkeypatch.setenv("ZBIAS_THREADS", threads)
+    code = main(["scatter", "--draws", "3500", "--seed", "5", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+    assert target.read_bytes() == b"previous\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.csv"]
+
+
+def test_scatter_into_missing_directory_names_the_target(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.csv"
+    assert main(["scatter", "--draws", "5", "--seed", "3", "--out", str(target)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+    )
+
+
+def test_scatter_refuses_a_target_it_could_not_open(tmp_path, monkeypatch):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"previous\n")
+    monkeypatch.setattr(montecarlo.os, "access", lambda path, mode: False)
+    with pytest.raises(PermissionError):
+        export_scatter(McConfig(draws=5, seed=3), target)
+    assert target.read_bytes() == b"previous\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.csv"]
+
+
+def test_scatter_file_modes(tmp_path):
+    cfg = McConfig(draws=5, seed=3)
+    fresh = tmp_path / "fresh.csv"
+    old_umask = os.umask(0o027)
+    try:
+        export_scatter(cfg, fresh)
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o640
+    kept = tmp_path / "kept.csv"
+    kept.write_bytes(b"previous\n")
+    kept.chmod(0o604)
+    export_scatter(cfg, kept)
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+    assert kept.read_bytes() == fresh.read_bytes()
+
+
+def test_scatter_follows_a_symlinked_target(tmp_path):
+    cfg = McConfig(draws=5, seed=3)
+    expected = tmp_path / "expected.csv"
+    export_scatter(cfg, expected)
+    real = tmp_path / "real.csv"
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    export_scatter(cfg, link)
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes() == expected.read_bytes()
+
+
+def test_scatter_writes_into_a_fifo_in_place(tmp_path):
+    cfg = McConfig(draws=40, seed=3)
+    expected = tmp_path / "expected.csv"
+    export_scatter(cfg, expected)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    export_scatter(cfg, fifo)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [expected.read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["expected.csv", "pipe"]
+
+
+def test_redraws_are_logged_in_draw_order_whatever_the_workers(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
+    seed, planted = 17, (1_500, 2_100)
+    real_primary = montecarlo.primary_uniforms
+
+    def planted_primary(s, first, n):
+        out = real_primary(s, first, n)
+        for index in planted:
+            if first <= index < first + n:
+                out[index - first, 0] = 0.0
+        return out
+
+    monkeypatch.setattr(montecarlo, "primary_uniforms", planted_primary)
+    expected = [f"degenerate draw {index} (seed {seed}): redrawing" for index in planted]
+    cfg = McConfig(draws=3_500, seed=seed)
+    outputs = {}
+    for threads in ("1", "2"):
+        caplog.clear()
+        path = tmp_path / f"t{threads}.csv"
+        with caplog.at_level("WARNING", logger="zbias.montecarlo"):
+            export_scatter(cfg, path, threads=int(threads))
+            assert [r.getMessage() for r in caplog.records] == expected
+            caplog.clear()
+            outputs[threads] = estimate_volume(cfg, threads=int(threads))
+            assert [r.getMessage() for r in caplog.records] == expected
+    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+    assert outputs["1"] == outputs["2"]
+
+
+def test_scatter_window_bounds_chunks_in_flight(tmp_path, monkeypatch):
+    from concurrent.futures import process
+
+    seed, draws = 404, 7_500
+    golden = tmp_path / "golden.csv"
+    export_scatter(McConfig(draws=draws, seed=seed), golden)
+    monkeypatch.setattr(montecarlo, "_CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    submitted, consumed, in_flight = [0], [0], []
+    real_submit = process.ProcessPoolExecutor.submit
+    real_log = montecarlo._log_redraws
+
+    def submit(self, *args, **kwargs):
+        submitted[0] += 1
+        in_flight.append(submitted[0] - consumed[0])
+        return real_submit(self, *args, **kwargs)
+
+    def log_redraws(seed_, redraws):
+        # Called once for every block written.
+        consumed[0] += 1
+        real_log(seed_, redraws)
+
+    monkeypatch.setattr(process.ProcessPoolExecutor, "submit", submit)
+    monkeypatch.setattr(montecarlo, "_log_redraws", log_redraws)
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    export_scatter(McConfig(draws=draws, seed=seed), one, threads=1)
+    assert (submitted[0], consumed[0]) == (0, 8)
+    consumed[0] = 0
+    export_scatter(McConfig(draws=draws, seed=seed), two, threads=2)
+    assert submitted[0] == consumed[0] == 8
+    assert max(in_flight) == 3
+    assert one.read_bytes() == golden.read_bytes()
+    assert two.read_bytes() == golden.read_bytes()
+
+
+def test_sequential_scatter_memory_is_flat_in_the_chunk_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_CHUNK", 256)
+
+    def peak(chunks):
+        tracemalloc.start()
+        try:
+            export_scatter(McConfig(draws=256 * chunks, seed=9), tmp_path / "m.csv", threads=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64) < 1.5 * peak(4)
+
+
+def test_import_leaves_process_pool_modules_unloaded():
+    # They cost ``import zbias`` about 20 ms; only a multi-worker scatter
+    # needs them.
+    probe = ("import sys, zbias; print(sorted(m for m in sys.modules if m in "
+             "('multiprocessing', 'concurrent.futures.process')))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout == "[]\n"
