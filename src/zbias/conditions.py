@@ -53,6 +53,10 @@ class ConditionReport:
         consistent = self.holds == (not self.witnesses) == (self.margin >= -IDENTITY_TOL)
         if not consistent:
             raise InvariantViolation(f"inconsistent report for {self.condition_id}")
+        # +inf is "nothing to compare"; an overflowed -inf or a NaN has no JSON form.
+        if math.isnan(self.margin) or self.margin == -math.inf:
+            raise InvariantViolation(f"margin {self.margin!r} is not finite",
+                                     field=self.condition_id)
 
     def to_json(self) -> str:
         """One JSON object; an infinite margin (nothing to compare) is

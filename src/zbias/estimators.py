@@ -25,7 +25,7 @@ stratum per pi.  Slots are differences, or ratios, of moment pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, isfinite, isinf, isnan
+from math import fsum, isfinite
 from typing import Literal
 
 from .errors import (
@@ -63,12 +63,10 @@ _JSON_NAMES = {"treated_fraction": "f"}
 
 
 def _json_num(value: float) -> str:
-    # 17 significant digits round-trip a double; Python's json module spells
-    # the IEEE specials this way.
-    if isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
-    if isnan(value):
-        return "NaN"
+    # 17 significant digits round-trip a double; strict JSON has no spelling
+    # for infinities or NaN.
+    if not isfinite(value):
+        raise InvariantViolation(f"{value!r} is not finite and has no JSON form")
     return f"{value:.17g}"
 
 

@@ -40,12 +40,32 @@ def _as_float(value, name: str, finite: bool = False) -> float:
 
 
 def _float_tuple(values, name: str, finite: bool = False) -> tuple[float, ...]:
+    values = tuple(values)
+    try:
+        out = tuple(map(float, values))
+        if math.isfinite(sum(out)):  # no NaN or infinity, so nothing to name
+            return out
+    except (TypeError, ValueError):
+        pass
     return tuple(_as_float(v, name, finite) for v in values)
 
 
 def _check_prob(value: float, name: str) -> None:
     if not 0.0 <= value <= 1.0:
         raise InvariantViolation(f"must lie in [0, 1], got {value!r}", field=name)
+
+
+def _in_unit_interval(row: tuple[float, ...]) -> bool:
+    # Exact for a nonempty row without NaN, which min and max could skip.
+    return 0.0 <= min(row) and max(row) <= 1.0
+
+
+def _check_probs(row: tuple[float, ...], name: str) -> None:
+    """``_check_prob`` on each entry of a nonempty, NaN-free row, naming the
+    first bad one ``name[k]``."""
+    if not _in_unit_interval(row):
+        for k, value in enumerate(row):
+            _check_prob(value, f"{name}[{k}]")
 
 
 def _check_strictly_increasing(values: tuple[float, ...], name: str) -> None:
@@ -61,9 +81,10 @@ def _check_strictly_increasing(values: tuple[float, ...], name: str) -> None:
 def _check_pmf(pmf: tuple[float, ...], size: int, name: str) -> None:
     if len(pmf) != size:
         raise InvariantViolation(f"expected {size} entries, got {len(pmf)}", field=name)
-    for k, p in enumerate(pmf):
-        if p < 0.0 or not math.isfinite(p):
-            raise InvariantViolation(f"entry {k} must be nonnegative, got {p!r}", field=name)
+    if not (pmf and min(pmf) >= 0.0 and math.isfinite(sum(pmf))):
+        for k, p in enumerate(pmf):
+            if p < 0.0 or not math.isfinite(p):
+                raise InvariantViolation(f"entry {k} must be nonnegative, got {p!r}", field=name)
     total = fsum(pmf)
     if abs(total - 1.0) > VALIDATION_TOL:
         raise InvariantViolation(f"must sum to 1, got {total!r}", field=name)
@@ -158,8 +179,7 @@ class DiscreteScenario:
         for i, row in enumerate(treat):
             if len(row) != self.n_u:
                 raise InvariantViolation(f"expected {self.n_u} entries", field=f"treat[{i}]")
-            for j, cell in enumerate(row):
-                _check_prob(cell, f"treat[{i}][{j}]")
+            _check_probs(row, f"treat[{i}]")
 
         if len(self.outcome_mean) != 2:
             raise InvariantViolation("expected tables for a=0 and a=1", field="mean")
@@ -176,6 +196,10 @@ class DiscreteScenario:
                     raise InvariantViolation(
                         f"expected {self.n_u} entries", field=f"mean[{a}][{i}]"
                     )
+                if math.isfinite(sum(row)) and (
+                    not self.binary_outcome or _in_unit_interval(row)
+                ):
+                    continue
                 for j, cell in enumerate(row):
                     if not math.isfinite(cell):
                         raise InvariantViolation("must be finite", field=f"mean[{a}][{i}][{j}]")
@@ -199,6 +223,7 @@ class DiscreteScenario:
                 raise InvariantViolation(
                     "expected one distribution per (a, u) cell", field="law"
                 )
+            columns = [tuple(zip(*mean[a])) for a in (0, 1)]
             for a in (0, 1):
                 for j in range(self.n_u):
                     name = f"law[{a}][{j}]"
@@ -211,13 +236,18 @@ class DiscreteScenario:
                             "binary outcome law must be supported on {0, 1}", field=name
                         )
                     law_mean = fsum(v * p for v, p in law[a][j])
-                    for i in range(self.n_z):
-                        if abs(law_mean - self.outcome_mean[a][i][j]) > VALIDATION_TOL:
-                            raise InvariantViolation(
-                                f"law mean {law_mean!r} does not match "
-                                f"mean[{a}][{i}][{j}] = {self.outcome_mean[a][i][j]!r}",
-                                field=name,
-                            )
+                    # IEEE subtraction is monotone, so the column's extremes
+                    # bound every |law_mean - mean| exactly.
+                    column = columns[a][j]
+                    gaps = (abs(law_mean - min(column)), abs(law_mean - max(column)))
+                    if max(gaps) > VALIDATION_TOL:
+                        i = next(i for i, m in enumerate(column)
+                                 if abs(law_mean - m) > VALIDATION_TOL)
+                        raise InvariantViolation(
+                            f"law mean {law_mean!r} does not match "
+                            f"mean[{a}][{i}][{j}] = {column[i]!r}",
+                            field=name,
+                        )
 
     @property
     def n_z(self) -> int:
@@ -265,8 +295,7 @@ class PotentialOutcomeScenario:
         object.__setattr__(self, "y_pairs", pairs)
         object.__setattr__(self, "pair_pmf", _float_tuple(self.pair_pmf, "y_pairs"))
         _check_strictly_increasing(self.pi_support, "pi_support")
-        for k, pi in enumerate(self.pi_support):
-            _check_prob(pi, f"pi_support[{k}]")
+        _check_probs(self.pi_support, "pi_support")
         _check_pmf(self.pi_pmf, len(self.pi_support), "pi_pmf")
         if not pairs:
             raise InvariantViolation("must be nonempty", field="y_pairs")
@@ -285,8 +314,7 @@ class PotentialOutcomeScenario:
         for k, row in enumerate(treat):
             if len(row) != len(pairs):
                 raise InvariantViolation(f"expected {len(pairs)} entries", field=f"treat[{k}]")
-            for j, cell in enumerate(row):
-                _check_prob(cell, f"treat[{k}][{j}]")
+            _check_probs(row, f"treat[{k}]")
             implied = fsum(t * p for t, p in zip(row, self.pair_pmf))
             if abs(implied - self.pi_support[k]) > VALIDATION_TOL:
                 raise InvariantViolation(

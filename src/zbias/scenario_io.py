@@ -26,8 +26,11 @@ scenario type:
             ...a discrete-kind body...
         end stratum
 
-Parsing is locale-independent (dot decimal separator).  ``serialize_scenario``
-emits this same format; parse . serialize is the identity on all fields.
+Indices are read as integers, so leading zeros are accepted: ``treat[01][0]``
+names ``treat[1][0]``, and when two spellings name one cell the later line
+wins.  Parsing is locale-independent (dot decimal separator).
+``serialize_scenario`` emits this same format; parse . serialize is the
+identity on all fields.
 """
 
 from __future__ import annotations
@@ -50,19 +53,21 @@ _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\[\d+\])*$")
 _BINARY_KEYS = ("pZ", "pU", "p11", "p10", "p01", "p00", "r11", "r10", "r01", "r00")
 
 
-class _Entry:
-    __slots__ = ("value", "line")
+_Entry = tuple[str, int]  # (value text, line number)
 
-    def __init__(self, value: str, line: int):
-        self.value = value
-        self.line = line
+
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
 
 
 def _parse_float(text: str, line: int, key: str) -> float:
     try:
-        return float(text)
-    except ValueError:
-        raise ScenarioFormatError(f"{key}: not a number: {text!r}", line) from None
+        return _number(text)
+    except ValueError as exc:
+        raise ScenarioFormatError(f"{key}: {exc}", line) from None
 
 
 def _parse_float_list(text: str, line: int, key: str) -> tuple[float, ...]:
@@ -84,39 +89,36 @@ def _scan(text: str):
     entries: dict[str, _Entry] = {}
     strata: list[tuple[str, float, dict[str, _Entry], int]] = []
     block: dict[str, _Entry] | None = None
+    target = entries
+    is_key = _KEY_RE.match
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if line.startswith("begin stratum"):
+        key, eq, value = line.partition("=")
+        key = key.rstrip()
+        if eq and is_key(key):
+            if key in target:
+                raise ScenarioFormatError(f"duplicate key {key!r}", lineno)
+            target[key] = (value.strip(), lineno)
+        elif line.startswith("begin stratum"):
             if block is not None:
                 raise ScenarioFormatError("nested stratum blocks are not allowed", lineno)
             parts = line.split()
             if len(parts) != 4:
-                raise ScenarioFormatError(
-                    "expected 'begin stratum <label> <weight>'", lineno
-                )
+                raise ScenarioFormatError("expected 'begin stratum <label> <weight>'", lineno)
             label = parts[2]
             weight = _parse_float(parts[3], lineno, "stratum weight")
-            block = {}
+            target = block = {}
             strata.append((label, weight, block, lineno))
-            continue
-        if line == "end stratum":
+        elif line == "end stratum":
             if block is None:
                 raise ScenarioFormatError("'end stratum' without matching begin", lineno)
-            block = None
-            continue
-        if "=" not in line:
+            target, block = entries, None
+        elif not eq:
             raise ScenarioFormatError(f"expected 'key = value', got {raw.strip()!r}", lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not _KEY_RE.match(key):
+        else:
             raise ScenarioFormatError(f"malformed key {key!r}", lineno)
-        target = block if block is not None else entries
-        if key in target:
-            raise ScenarioFormatError(f"duplicate key {key!r}", lineno)
-        target[key] = _Entry(value, lineno)
     if block is not None:
         raise ScenarioFormatError("unterminated stratum block", strata[-1][3])
     return entries, strata
@@ -128,37 +130,86 @@ def _pop(entries: dict[str, _Entry], key: str) -> _Entry:
     return entries.pop(key)
 
 
-def _indexed(entries: dict[str, _Entry], base: str, depth: int):
-    """Pull all 'base[i]...[k]' keys, returning {(i, ..., k): entry}."""
-    # Every key matched _KEY_RE in _scan, so after the first '[' it is only
-    # bracketed digit runs.
-    prefix = base + "["
-    found = {}
-    for key in [k for k in entries if k.startswith(prefix)]:
-        indices = tuple(map(int, key[len(prefix):-1].split("][")))
-        if len(indices) != depth:
-            raise ScenarioFormatError(
-                f"{key}: expected {depth} indices", entries[key].line
-            )
-        found[indices] = entries.pop(key)
-    return found
+def _names(base: str, shape: tuple[int, ...]) -> list[str]:
+    """Canonical key names of a table, row-major: treat[0][0], treat[0][1], ..."""
+    names = [base]
+    for size in shape:
+        suffixes = [f"[{k}]" for k in range(size)]
+        names = [name + suffix for name in names for suffix in suffixes]
+    return names
+
+
+def _pop_tables(entries: dict[str, _Entry], shapes: dict[str, tuple[int, ...]]):
+    """Pop every table's keys: {base: (cells, stray)}, with cells keyed by
+    canonical name in row-major order (None where missing) and stray holding
+    the out-of-range cells by index.
+
+    Canonical keys are popped by name; only the keys left with a table's
+    prefix (leading zeros, out of range, wrong depth) have their indices
+    read.  When two spellings name one cell, the later line wins.
+    """
+    tables = {}
+    for base, shape in shapes.items():
+        tables[base] = ({name: entries.pop(name, None) for name in _names(base, shape)}, {})
+    for base, shape in shapes.items():
+        cells, stray = tables[base]
+        prefix = base + "["
+        for key in [k for k in entries if k.startswith(prefix)]:
+            entry = entries.pop(key)
+            # Every key matched _KEY_RE in _scan, so after the first '[' it
+            # is only bracketed digit runs.
+            index = tuple(map(int, key[len(prefix):-1].split("][")))
+            if len(index) != len(shape):
+                raise ScenarioFormatError(f"{key}: expected {len(shape)} indices", entry[1])
+            name = base + "".join(f"[{k}]" for k in index)
+            if name not in cells:
+                stray[index] = entry
+            elif cells[name] is None or cells[name][1] < entry[1]:
+                cells[name] = entry
+    return tables
+
+
+def _table(cells, base: str, shape: tuple[int, ...], parse, note: str = ""):
+    """Nested tuples of ``parse(value)`` over one table from ``_pop_tables``.
+
+    ``parse`` raises ValueError with the reason for a bad value.  The first
+    missing or bad cell in row-major order is reported, then stray cells.
+    """
+    found, stray = cells
+    try:
+        flat = list(map(parse, [entry[0] for entry in found.values()]))
+    except (TypeError, ValueError):
+        for name, entry in found.items():
+            if entry is None:
+                raise ScenarioFormatError(f"missing required key {name!r}{note}") from None
+            try:
+                parse(entry[0])
+            except ValueError as exc:
+                raise ScenarioFormatError(f"{name}: {exc}", entry[1]) from None
+        raise
+    if stray:
+        raise ScenarioFormatError(f"{base} index out of range", min(e[1] for e in stray.values()))
+    for size in reversed(shape[1:]):
+        flat = [tuple(flat[k:k + size]) for k in range(0, len(flat), size)]
+    return tuple(flat)
 
 
 def _reject_unknown(entries: dict[str, _Entry]) -> None:
     if entries:
-        key = min(entries, key=lambda k: entries[k].line)
-        raise ScenarioFormatError(f"unknown key {key!r}", entries[key].line)
+        key = min(entries, key=lambda k: entries[k][1])
+        raise ScenarioFormatError(f"unknown key {key!r}", entries[key][1])
+
+
+def _pop_bool(entries: dict[str, _Entry], key: str, default: bool) -> bool:
+    if key not in entries:
+        return default
+    value, line = entries.pop(key)
+    return _parse_bool(value, line, key)
 
 
 def _build_binary(entries: dict[str, _Entry]) -> BinaryScenario:
-    values = {}
-    for key in _BINARY_KEYS:
-        entry = _pop(entries, key)
-        values[key] = _parse_float(entry.value, entry.line, key)
-    binary = True
-    if "binary_outcome" in entries:
-        entry = entries.pop("binary_outcome")
-        binary = _parse_bool(entry.value, entry.line, "binary_outcome")
+    values = {key: _parse_float(*_pop(entries, key), key) for key in _BINARY_KEYS}
+    binary = _pop_bool(entries, "binary_outcome", True)
     _reject_unknown(entries)
     return BinaryScenario(
         z_prob=values["pZ"],
@@ -169,145 +220,68 @@ def _build_binary(entries: dict[str, _Entry]) -> BinaryScenario:
     )
 
 
-def _parse_law_entry(entry: _Entry, key: str):
+def _law(text: str):
+    """One outcome law cell, ``v:p, v:p, ...``."""
     pairs = []
-    for piece in entry.value.split(","):
+    for piece in text.split(","):
         piece = piece.strip()
-        if ":" not in piece:
-            raise ScenarioFormatError(f"{key}: expected value:prob, got {piece!r}", entry.line)
-        value, _, prob = piece.partition(":")
-        pairs.append(
-            (_parse_float(value.strip(), entry.line, key), _parse_float(prob.strip(), entry.line, key))
-        )
+        value, colon, prob = piece.partition(":")
+        if not colon:
+            raise ValueError(f"expected value:prob, got {piece!r}")
+        pairs.append((_number(value.strip()), _number(prob.strip())))
     return tuple(pairs)
 
 
 def _build_discrete(entries: dict[str, _Entry]) -> DiscreteScenario:
-    lists = {}
-    for key in ("z_support", "z_pmf", "u_support", "u_pmf"):
-        entry = _pop(entries, key)
-        lists[key] = _parse_float_list(entry.value, entry.line, key)
+    lists = {key: _parse_float_list(*_pop(entries, key), key)
+             for key in ("z_support", "z_pmf", "u_support", "u_pmf")}
     n_z = len(lists["z_support"])
     n_u = len(lists["u_support"])
 
-    treat_cells = _indexed(entries, "treat", 2)
-    mean_cells = _indexed(entries, "mean", 3)
-    law_cells = _indexed(entries, "law", 2)
-
-    treat = []
-    for i in range(n_z):
-        row = []
-        for j in range(n_u):
-            if (i, j) not in treat_cells:
-                raise ScenarioFormatError(f"missing required key 'treat[{i}][{j}]'")
-            entry = treat_cells.pop((i, j))
-            row.append(_parse_float(entry.value, entry.line, f"treat[{i}][{j}]"))
-        treat.append(tuple(row))
-    if treat_cells:
-        indices = min(treat_cells, key=lambda k: treat_cells[k].line)
-        raise ScenarioFormatError(
-            "treat index out of range", treat_cells[indices].line
-        )
-
-    mean = []
-    for a in (0, 1):
-        arm = []
-        for i in range(n_z):
-            row = []
-            for j in range(n_u):
-                if (a, i, j) not in mean_cells:
-                    raise ScenarioFormatError(f"missing required key 'mean[{a}][{i}][{j}]'")
-                entry = mean_cells.pop((a, i, j))
-                row.append(_parse_float(entry.value, entry.line, f"mean[{a}][{i}][{j}]"))
-            arm.append(tuple(row))
-        mean.append(tuple(arm))
-    if mean_cells:
-        indices = min(mean_cells, key=lambda k: mean_cells[k].line)
-        raise ScenarioFormatError("mean index out of range", mean_cells[indices].line)
-
+    shapes = {"treat": (n_z, n_u), "mean": (2, n_z, n_u), "law": (2, n_u)}
+    tables = _pop_tables(entries, shapes)
+    treat = _table(tables["treat"], "treat", shapes["treat"], _number)
+    mean = _table(tables["mean"], "mean", shapes["mean"], _number)
     law = None
-    if law_cells:
-        law_arms = []
-        for a in (0, 1):
-            arm = []
-            for j in range(n_u):
-                if (a, j) not in law_cells:
-                    raise ScenarioFormatError(
-                        f"missing required key 'law[{a}][{j}]' (outcome law must be complete)"
-                    )
-                arm.append(_parse_law_entry(law_cells.pop((a, j)), f"law[{a}][{j}]"))
-            law_arms.append(tuple(arm))
-        if law_cells:
-            indices = min(law_cells, key=lambda k: law_cells[k].line)
-            raise ScenarioFormatError("law index out of range", law_cells[indices].line)
-        law = tuple(law_arms)
+    law_cells, law_stray = tables["law"]
+    if law_stray or any(law_cells.values()):  # some law key, in range or not
+        law = _table(tables["law"], "law", shapes["law"], _law, " (outcome law must be complete)")
 
-    binary = False
-    if "binary_outcome" in entries:
-        entry = entries.pop("binary_outcome")
-        binary = _parse_bool(entry.value, entry.line, "binary_outcome")
+    binary = _pop_bool(entries, "binary_outcome", False)
     _reject_unknown(entries)
     return DiscreteScenario(
-        z_support=lists["z_support"],
-        z_pmf=lists["z_pmf"],
-        u_support=lists["u_support"],
-        u_pmf=lists["u_pmf"],
-        treat=tuple(treat),
-        outcome_mean=tuple(mean),
-        outcome_law=law,
-        binary_outcome=binary,
+        **lists, treat=treat, outcome_mean=mean, outcome_law=law, binary_outcome=binary
     )
 
 
 def _build_potential_outcomes(entries: dict[str, _Entry]) -> PotentialOutcomeScenario:
-    support_entry = _pop(entries, "pi_support")
-    pi_support = _parse_float_list(support_entry.value, support_entry.line, "pi_support")
-    pmf_entry = _pop(entries, "pi_pmf")
-    pi_pmf = _parse_float_list(pmf_entry.value, pmf_entry.line, "pi_pmf")
+    pi_support = _parse_float_list(*_pop(entries, "pi_support"), "pi_support")
+    pi_pmf = _parse_float_list(*_pop(entries, "pi_pmf"), "pi_pmf")
 
-    pairs_entry = _pop(entries, "y_pairs")
-    text = pairs_entry.value
+    text, line = _pop(entries, "y_pairs")
     pieces = [p.strip() for p in (text.split(";") if ";" in text else text.split())]
     pieces = [p for p in pieces if p]
     if not pieces:
-        raise ScenarioFormatError("y_pairs: empty list", pairs_entry.line)
+        raise ScenarioFormatError("y_pairs: empty list", line)
     y_pairs = []
     pair_pmf = []
     for piece in pieces:
-        if ":" not in piece or "," not in piece.split(":", 1)[0]:
-            raise ScenarioFormatError(
-                f"y_pairs: expected 'y1,y0:prob', got {piece!r}", pairs_entry.line
-            )
-        coords, _, prob = piece.partition(":")
-        y1_text, _, y0_text = coords.partition(",")
-        y_pairs.append(
-            (
-                _parse_float(y1_text.strip(), pairs_entry.line, "y_pairs"),
-                _parse_float(y0_text.strip(), pairs_entry.line, "y_pairs"),
-            )
-        )
-        pair_pmf.append(_parse_float(prob.strip(), pairs_entry.line, "y_pairs"))
+        coords, colon, prob = piece.partition(":")
+        y1, comma, y0 = coords.partition(",")
+        if not (colon and comma):
+            raise ScenarioFormatError(f"y_pairs: expected 'y1,y0:prob', got {piece!r}", line)
+        y_pairs.append(tuple(_parse_float(y.strip(), line, "y_pairs") for y in (y1, y0)))
+        pair_pmf.append(_parse_float(prob.strip(), line, "y_pairs"))
 
-    treat_cells = _indexed(entries, "treat", 2)
-    treat = []
-    for k in range(len(pi_support)):
-        row = []
-        for j in range(len(y_pairs)):
-            if (k, j) not in treat_cells:
-                raise ScenarioFormatError(f"missing required key 'treat[{k}][{j}]'")
-            entry = treat_cells.pop((k, j))
-            row.append(_parse_float(entry.value, entry.line, f"treat[{k}][{j}]"))
-        treat.append(tuple(row))
-    if treat_cells:
-        indices = min(treat_cells, key=lambda k: treat_cells[k].line)
-        raise ScenarioFormatError("treat index out of range", treat_cells[indices].line)
+    shape = (len(pi_support), len(y_pairs))
+    treat = _table(_pop_tables(entries, {"treat": shape})["treat"], "treat", shape, _number)
     _reject_unknown(entries)
     return PotentialOutcomeScenario(
         pi_support=pi_support,
         pi_pmf=pi_pmf,
         y_pairs=tuple(y_pairs),
         pair_pmf=tuple(pair_pmf),
-        treat=tuple(treat),
+        treat=treat,
     )
 
 
@@ -318,10 +292,10 @@ def _build_family(entries, strata) -> CovariateFamily:
     built = []
     for label, weight, block, lineno in strata:
         if "kind" in block:
-            entry = block.pop("kind")
-            if entry.value.strip() != "discrete":
+            value, line = block.pop("kind")
+            if value.strip() != "discrete":
                 raise ScenarioFormatError(
-                    f"stratum {label!r}: body must be discrete-kind", entry.line
+                    f"stratum {label!r}: body must be discrete-kind", line
                 )
         try:
             scenario = _build_discrete(block)
@@ -340,8 +314,8 @@ def parse_scenario(text: str) -> Scenario:
     entries, strata = _scan(text)
     if "kind" not in entries:
         raise ScenarioFormatError("missing required key 'kind'")
-    kind_entry = entries.pop("kind")
-    kind = kind_entry.value.strip()
+    kind, kind_line = entries.pop("kind")
+    kind = kind.strip()
     if strata and kind != "covariate_family":
         raise ScenarioFormatError(
             f"stratum blocks are only valid for kind=covariate_family", strata[0][3]
@@ -354,7 +328,7 @@ def parse_scenario(text: str) -> Scenario:
         return _build_potential_outcomes(entries)
     if kind == "covariate_family":
         return _build_family(entries, strata)
-    raise ScenarioFormatError(f"unknown kind {kind!r}", kind_entry.line)
+    raise ScenarioFormatError(f"unknown kind {kind!r}", kind_line)
 
 
 def load_scenario(path) -> Scenario:
@@ -373,18 +347,14 @@ def _serialize_discrete_body(s: DiscreteScenario, out: list[str], indent: str = 
     out.append(f"{indent}u_support = {_format_list(s.u_support)}")
     out.append(f"{indent}u_pmf = {_format_list(s.u_pmf)}")
     out.append(f"{indent}binary_outcome = {'true' if s.binary_outcome else 'false'}")
-    for i in range(s.n_z):
-        for j in range(s.n_u):
-            out.append(f"{indent}treat[{i}][{j}] = {s.treat[i][j]!r}")
-    for a in (0, 1):
-        for i in range(s.n_z):
-            for j in range(s.n_u):
-                out.append(f"{indent}mean[{a}][{i}][{j}] = {s.outcome_mean[a][i][j]!r}")
+    cells = [repr(t) for row in s.treat for t in row]
+    cells += [repr(m) for arm in s.outcome_mean for row in arm for m in row]
+    keys = _names("treat", (s.n_z, s.n_u)) + _names("mean", (2, s.n_z, s.n_u))
     if s.outcome_law is not None:
-        for a in (0, 1):
-            for j in range(s.n_u):
-                pairs = ", ".join(f"{v!r}:{p!r}" for v, p in s.outcome_law[a][j])
-                out.append(f"{indent}law[{a}][{j}] = {pairs}")
+        laws = (law for arm in s.outcome_law for law in arm)
+        cells += [", ".join(f"{v!r}:{p!r}" for v, p in law) for law in laws]
+        keys += _names("law", (2, s.n_u))
+    out += [f"{indent}{key} = {cell}" for key, cell in zip(keys, cells)]
 
 
 def serialize_scenario(scenario: Scenario) -> str:
@@ -413,9 +383,9 @@ def serialize_scenario(scenario: Scenario) -> str:
             for (y1, y0), p in zip(scenario.y_pairs, scenario.pair_pmf)
         )
         out.append(f"y_pairs = {pairs}")
-        for k in range(scenario.n_pi):
-            for j in range(scenario.n_pairs):
-                out.append(f"treat[{k}][{j}] = {scenario.treat[k][j]!r}")
+        keys = _names("treat", (scenario.n_pi, scenario.n_pairs))
+        cells = (t for row in scenario.treat for t in row)
+        out += [f"{key} = {t!r}" for key, t in zip(keys, cells)]
     elif isinstance(scenario, CovariateFamily):
         out.append("kind = covariate_family")
         for stratum in scenario.strata:

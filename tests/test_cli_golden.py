@@ -2,6 +2,8 @@
 repeated ``main()`` calls in one process behaving like separate processes."""
 
 import hashlib
+import math
+import random
 import subprocess
 import sys
 
@@ -117,6 +119,55 @@ WORLDS = {
     "family": FAMILY_TEXT,
     "grid": _grid_text(direct_effect=False),
     "grid_direct": _grid_text(direct_effect=True),
+}
+
+
+def _large_text() -> str:
+    """A 32x16 world with a three-point outcome law per (a, u) cell, keys in
+    shuffled order.  Every fourth instrument level repeats the treatment row
+    of the level before it, so conditioning on the propensity merges levels."""
+    rng = random.Random(7_2017)
+    n_z, n_u = 32, 16
+
+    def pmf(n):
+        weights = [rng.uniform(0.5, 2.0) for _ in range(n)]
+        total = sum(weights)
+        return [w / total for w in weights]
+
+    treat = []
+    for i in range(n_z):
+        treat.append(treat[-1] if i % 4 == 3 else [rng.uniform(0.05, 0.95) for _ in range(n_u)])
+    lines = [
+        "kind = discrete",
+        "binary_outcome = false",
+        "z_support = " + ", ".join(repr(0.5 * i - 3.0) for i in range(n_z)),
+        "z_pmf = " + ", ".join(map(repr, pmf(n_z))),
+        "u_support = " + ", ".join(repr(float(j * j)) for j in range(n_u)),
+        "u_pmf = " + ", ".join(map(repr, pmf(n_u))),
+    ]
+    for i in range(n_z):
+        for j in range(n_u):
+            lines.append(f"treat[{i}][{j}] = {treat[i][j]!r}")
+    for a in (0, 1):
+        for j in range(n_u):
+            probs = pmf(3)
+            law = tuple(zip((0.0, 1.0, 2.5), probs))
+            mean = math.fsum(v * p for v, p in law)
+            lines.append(f"law[{a}][{j}] = " + ", ".join(f"{v!r}:{p!r}" for v, p in law))
+            for i in range(n_z):
+                lines.append(f"mean[{a}][{i}][{j}] = {mean!r}")
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+LARGE_COMMANDS = {
+    "eval on_z": ["eval", "--conditioning", "on_z"],
+    "eval on_propensity": ["eval", "--conditioning", "on_propensity"],
+    "check thm1": ["check", "--theorem", "thm1"],
+    "check thm7": ["check", "--theorem", "thm7"],
+    "check collider": ["check", "--theorem", "collider"],
+    "rr": ["rr"],
+    "dce": ["dce", "--threshold", "0.5"],
 }
 
 COMMANDS = {
@@ -257,6 +308,29 @@ GOLDEN = {
 
 def test_cli_output_digests_are_golden(tmp_path, capsys):
     assert digests(tmp_path, capsys) == GOLDEN
+
+
+# Recorded before the scenario front end was rewritten (canonical-key table
+# fill, bulk validation).
+GOLDEN_LARGE = {
+    "eval on_z": "0dab92dd6171eab5",
+    "eval on_propensity": "1f6fa9f9c7704e0d",
+    "check thm1": "60d0826d50f55fed",
+    "check thm7": "217f818c4404da44",
+    "check collider": "45aaa8255812c866",
+    "rr": "a36b89154d6730f0",
+    "dce": "77a08652e178653b",
+}
+
+
+def test_large_world_digests_are_golden(tmp_path, capsys):
+    path = tmp_path / "large.scn"
+    path.write_text(_large_text())
+    out = {
+        name: _digest(_run([argv[0], str(path), *argv[1:]], capsys))
+        for name, argv in LARGE_COMMANDS.items()
+    }
+    assert out == GOLDEN_LARGE
 
 
 def test_repeated_main_calls_match_separate_processes(tmp_path, capsys):

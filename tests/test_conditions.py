@@ -43,6 +43,7 @@ from zbias import (
 )
 from zbias import conditions
 from zbias.cli import main
+from zbias.estimators import _json_num
 
 
 def additive_model_scenario(base=0.1, u_slope=0.3, z_slope=0.2, means=None):
@@ -617,3 +618,40 @@ def test_ratio_denominator_underflow_is_a_zero_denominator():
     s = binary_from_params(0.5, 0.5, 0.5, 1e-200, 1e-200, 0.5, 0.1, 0.1, 0.1, 0.1)
     with pytest.raises(ZeroDenominatorError, match=r"^presence ratio undefined: p10\*p01 = 0$"):
         check_weaker_condition(s)
+
+
+# Outcome means of +-1.7e308 across u: every slack across u overflows to
+# -inf, which strict JSON cannot spell.
+OVERFLOW_TEXT = """\
+kind = discrete
+z_support = 0, 1
+z_pmf = 0.5, 0.5
+u_support = 0, 1
+u_pmf = 0.5, 0.5
+treat[0][0] = 0.2
+treat[0][1] = 0.4
+treat[1][0] = 0.6
+treat[1][1] = 0.8
+""" + "".join(
+    f"mean[{a}][{i}][{j}] = {'-' if j else ''}1.7e308\n"
+    for a in (0, 1) for i in (0, 1) for j in (0, 1)
+)
+
+
+@pytest.mark.parametrize(
+    "theorem, condition_id",
+    [("thm1", "thm1.a3"), ("thm2", "thm2.b"), ("thm3", "thm3.b"), ("thm7", "thm7.a.mean")],
+)
+def test_overflowed_margin_is_one_line_exit_1(tmp_path, capsys, theorem, condition_id):
+    path = tmp_path / "overflow.scn"
+    path.write_text(OVERFLOW_TEXT)
+    assert main(["check", str(path), "--theorem", theorem]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {condition_id}: margin -inf is not finite\n"
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_json_numbers_must_be_finite(value):
+    with pytest.raises(InvariantViolation, match="is not finite"):
+        _json_num(value)

@@ -257,3 +257,92 @@ def test_joint_mass_sums_to_one():
         d = to_discrete(random_binary(rng))
         total = sum(zp * up for zp in d.z_pmf for up in d.u_pmf)
         assert abs(total - 1.0) <= 1e-12
+
+
+# One or two bad cells planted in a table; the error names the first in
+# row-major order, with the field and message each check has always used.
+BAD_CELLS = {
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+    "negative": -0.5, "above one": 1.5, "non-number": "abc",
+}
+
+
+def _planted_error(table, index, bad):
+    """Expected message for a bad value at ``table`` cell ``index``."""
+    row = f"{table}" + "".join(f"[{k}]" for k in index[:-1])
+    cell = row + f"[{index[-1]}]"
+    value = BAD_CELLS[bad]
+    if bad == "nan":
+        return f"{row}: must not be NaN"
+    if bad == "non-number":
+        return f"{row}: must be a number"
+    if table == "mean" and math.isinf(value):
+        return f"{cell}: must be finite"
+    return f"{cell}: must lie in [0, 1], got {value!r}"
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_validation_names_first_bad_cell_in_row_major_order(data):
+    rnd = data.draw(st.randoms(use_true_random=False))
+    kind = data.draw(st.sampled_from(["treat", "mean", "po treat", "law mismatch"]))
+    rows, cols = rnd.randint(1, 6), rnd.randint(1, 6)
+
+    def pmf(n):
+        return [1.0 / n] * n
+
+    if kind == "po treat":
+        pair_pmf = pmf(cols)
+        # Row k lies in [k/rows, (k+1)/rows), so pi is strictly increasing.
+        treat = [[(k + rnd.random()) / rows for _ in range(cols)] for k in range(rows)]
+        pi = [math.fsum(t * p for t, p in zip(row, pair_pmf)) for row in treat]
+        table, shape = treat, (rows, cols)
+
+        def build():
+            return PotentialOutcomeScenario(
+                pi_support=pi, pi_pmf=pmf(rows),
+                y_pairs=[(float(j), 0.0) for j in range(cols)], pair_pmf=pair_pmf,
+                treat=treat,
+            )
+    else:
+        treat = [[rnd.random() for _ in range(cols)] for _ in range(rows)]
+        column = [[rnd.random() for _ in range(cols)] for _ in (0, 1)]
+        mean = [[list(column[a]) for _ in range(rows)] for a in (0, 1)]
+        law = [[((0.0, 1.0 - m), (1.0, m)) for m in column[a]] for a in (0, 1)]
+        table, shape = (treat, (rows, cols)) if kind == "treat" else (mean, (2, rows, cols))
+
+        def build():
+            return DiscreteScenario(
+                z_support=range(rows), z_pmf=pmf(rows), u_support=range(cols),
+                u_pmf=pmf(cols), treat=treat, outcome_mean=mean,
+                outcome_law=law if kind == "law mismatch" else None, binary_outcome=True,
+            )
+
+    cells = [divmod(n, cols) for n in range(rows * cols)]
+    if len(shape) == 3:
+        cells = [(a, i, j) for a in (0, 1) for i, j in cells]
+    picked = sorted(data.draw(st.lists(st.sampled_from(cells), min_size=1,
+                                       max_size=1 if kind == "law mismatch" else 2,
+                                       unique=True)))
+    bad = data.draw(st.sampled_from(sorted(BAD_CELLS)))
+    for index in picked:
+        *outer, j = index
+        target = table
+        for k in outer:
+            target = target[k]
+        if kind == "law mismatch":
+            original = target[j]
+            target[j] += 1e-6 if original < 0.5 else -1e-6
+        else:
+            target[j] = BAD_CELLS[bad]
+    with pytest.raises(InvariantViolation) as info:
+        build()
+    if kind == "law mismatch":
+        a, i, j = picked[0]
+        assert str(info.value) == (
+            f"law[{a}][{j}]: law mean {original!r} does not match "
+            f"mean[{a}][{i}][{j}] = {mean[a][i][j]!r}"
+        )
+    else:
+        name = "mean" if kind == "mean" else "treat"
+        assert str(info.value) == _planted_error(name, picked[0], bad)
