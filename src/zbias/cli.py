@@ -38,10 +38,29 @@ from .scenario import (
 )
 from .scenario_io import load_scenario
 
-_THEOREMS = (
-    "thm1", "thm2", "thm3", "cor1", "cor2", "thm4", "thm5-binary",
-    "cor3", "cor4", "thm7", "weaker", "lemma_s5", "lemma_s7", "collider",
-)
+_BINARY = (BinaryScenario,)
+_GRID = (BinaryScenario, DiscreteScenario)
+_PO = (PotentialOutcomeScenario,)
+
+# Theorem name -> (accepted scenario kinds, checker), in --theorem choice order.
+# Checkers look up ``conditions`` at call time, so patched functions are seen.
+_THEOREMS = {
+    "thm1": (_GRID, lambda s: conditions.check_thm1(s)),
+    "thm2": (_GRID, lambda s: conditions.check_thm2(s)),
+    "thm3": (_GRID, lambda s: conditions.check_thm3(s)),
+    "cor1": (_BINARY, lambda s: conditions.check_cor1(s)),
+    "cor2": (_BINARY, lambda s: conditions.check_cor2(s)),
+    "thm4": (_PO, lambda s: conditions.check_thm4(s)),
+    "thm5-binary": (_PO, lambda s: conditions.check_thm5_binary(s)),
+    "cor3": (_PO, lambda s: conditions.check_cor3(s)),
+    "cor4": (_PO, lambda s: conditions.check_cor4(s)),
+    "thm7": (_GRID, lambda s: conditions.check_thm7(s)),
+    "weaker": (_BINARY, lambda s: conditions.check_weaker_condition(s)),
+    "lemma_s5": (_BINARY, lambda s: conditions.check_lemma_s5(*conditions._binary_cells(s))),
+    "lemma_s7": (_BINARY, lambda s: conditions.check_lemma_s7(*conditions._binary_cells(s))),
+    "collider": (_GRID, lambda s: conditions.check_collider_association(s, 0)
+                 + conditions.check_collider_association(s, 1)),
+}
 
 
 class _UsageError(Exception):
@@ -110,6 +129,15 @@ def _load(path, kinds, command):
     return scenario
 
 
+def _load_widened(path, kinds, command):
+    """``_load``, with a binary scenario widened by ``to_discrete`` where
+    discrete scenarios are accepted."""
+    scenario = _load(path, kinds, command)
+    if isinstance(scenario, BinaryScenario) and DiscreteScenario in kinds:
+        scenario = to_discrete(scenario)
+    return scenario
+
+
 def _table_row(estimate_set) -> str:
     verdict = conditions.zbias_verdict(estimate_set)
     header = f"{'ACE_true':>10} {'ACE_unadj':>10} {'ACE_adj':>10} {'Z-bias':>7}"
@@ -135,63 +163,20 @@ def _run_eval(args) -> int:
 
 
 def _run_check(args) -> int:
-    theorem = args.theorem
-    if theorem in ("cor1", "cor2", "weaker", "lemma_s5", "lemma_s7"):
-        scenario = _load(args.scenario, (BinaryScenario,), f"check --theorem {theorem}")
-        p11 = scenario.treat[1][1]
-        p10 = scenario.treat[1][0]
-        p01 = scenario.treat[0][1]
-        p00 = scenario.treat[0][0]
-        reports = {
-            "cor1": lambda: conditions.check_cor1(scenario),
-            "cor2": lambda: conditions.check_cor2(scenario),
-            "weaker": lambda: conditions.check_weaker_condition(scenario),
-            "lemma_s5": lambda: conditions.check_lemma_s5(p11, p10, p01, p00),
-            "lemma_s7": lambda: conditions.check_lemma_s7(p11, p10, p01, p00),
-        }[theorem]()
-    elif theorem in ("thm1", "thm2", "thm3", "thm7", "collider"):
-        scenario = _load(
-            args.scenario, (BinaryScenario, DiscreteScenario), f"check --theorem {theorem}"
-        )
-        if isinstance(scenario, BinaryScenario):
-            scenario = to_discrete(scenario)
-        if theorem == "collider":
-            reports = conditions.check_collider_association(
-                scenario, 0
-            ) + conditions.check_collider_association(scenario, 1)
-        else:
-            reports = {
-                "thm1": conditions.check_thm1,
-                "thm2": conditions.check_thm2,
-                "thm3": conditions.check_thm3,
-                "thm7": conditions.check_thm7,
-            }[theorem](scenario)
-    else:
-        scenario = _load(
-            args.scenario, (PotentialOutcomeScenario,), f"check --theorem {theorem}"
-        )
-        reports = {
-            "thm4": conditions.check_thm4,
-            "thm5-binary": conditions.check_thm5_binary,
-            "cor3": conditions.check_cor3,
-            "cor4": conditions.check_cor4,
-        }[theorem](scenario)
-    print(conditions.reports_to_json(reports))
+    kinds, checker = _THEOREMS[args.theorem]
+    scenario = _load_widened(args.scenario, kinds, f"check --theorem {args.theorem}")
+    print(conditions.reports_to_json(checker(scenario)))
     return 0
 
 
 def _run_dce(args) -> int:
-    scenario = _load(args.scenario, (BinaryScenario, DiscreteScenario), "dce")
-    if isinstance(scenario, BinaryScenario):
-        scenario = to_discrete(scenario)
+    scenario = _load_widened(args.scenario, _GRID, "dce")
     print(dce(scenario, args.threshold, args.conditioning).to_json())
     return 0
 
 
 def _run_rr(args) -> int:
-    scenario = _load(args.scenario, (BinaryScenario, DiscreteScenario), "rr")
-    if isinstance(scenario, BinaryScenario):
-        scenario = to_discrete(scenario)
+    scenario = _load_widened(args.scenario, _GRID, "rr")
     print(rr(scenario, args.conditioning).to_json())
     return 0
 

@@ -142,7 +142,7 @@ def _names(base: str, shape: tuple[int, ...]) -> list[str]:
 def _pop_tables(entries: dict[str, _Entry], shapes: dict[str, tuple[int, ...]]):
     """Pop every table's keys: {base: (cells, stray)}, with cells keyed by
     canonical name in row-major order (None where missing) and stray holding
-    the out-of-range cells by index.
+    the out-of-range cells by canonical name.
 
     Canonical keys are popped by name; only the keys left with a table's
     prefix (leading zeros, out of range, wrong depth) have their indices
@@ -157,13 +157,14 @@ def _pop_tables(entries: dict[str, _Entry], shapes: dict[str, tuple[int, ...]]):
         for key in [k for k in entries if k.startswith(prefix)]:
             entry = entries.pop(key)
             # Every key matched _KEY_RE in _scan, so after the first '[' it
-            # is only bracketed digit runs.
-            index = tuple(map(int, key[len(prefix):-1].split("][")))
+            # is only bracketed digit runs.  They are compared as digit strings
+            # because int() refuses one of more than 4,300 digits.
+            index = [k.lstrip("0") or "0" for k in key[len(prefix):-1].split("][")]
             if len(index) != len(shape):
                 raise ScenarioFormatError(f"{key}: expected {len(shape)} indices", entry[1])
             name = base + "".join(f"[{k}]" for k in index)
             if name not in cells:
-                stray[index] = entry
+                stray[name] = entry
             elif cells[name] is None or cells[name][1] < entry[1]:
                 cells[name] = entry
     return tables

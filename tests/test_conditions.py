@@ -655,3 +655,49 @@ def test_overflowed_margin_is_one_line_exit_1(tmp_path, capsys, theorem, conditi
 def test_json_numbers_must_be_finite(value):
     with pytest.raises(InvariantViolation, match="is not finite"):
         _json_num(value)
+
+
+# The mirror image: every slack across u overflows to +inf, which must not
+# read as "nothing to compare" (null) when there were comparisons.
+POSITIVE_OVERFLOW_TEXT = OVERFLOW_TEXT[:OVERFLOW_TEXT.index("mean[")] + "".join(
+    f"mean[{a}][{i}][{j}] = {'' if j else '-'}1.7e308\n"
+    for a in (0, 1) for i in (0, 1) for j in (0, 1)
+)
+
+
+@pytest.mark.parametrize("theorem", ["thm1", "thm2", "thm3", "thm7", "collider"])
+def test_positive_overflow_is_never_null(tmp_path, capsys, theorem):
+    path = tmp_path / "overflow.scn"
+    path.write_text(POSITIVE_OVERFLOW_TEXT)
+    code = main(["check", str(path), "--theorem", theorem])
+    captured = capsys.readouterr()
+    if code == 0:
+        # Every report of this 2x2 world has comparisons.
+        assert captured.err == ""
+        for report in json.loads(captured.out, parse_constant=_reject_constant):
+            assert report["margin"] is not None, report["condition_id"]
+    else:
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+    if theorem == "thm1":
+        assert captured.err == "error: thm1.a3: margin inf is not finite\n"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_infinite_odds_ratio_margin_stays_null():
+    # The compared value itself is infinite, so null is its honest spelling.
+    s = PotentialOutcomeScenario(
+        pi_support=(0.5,), pi_pmf=(1.0,),
+        y_pairs=((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)),
+        pair_pmf=(0.5, 0.0, 0.0, 0.5),
+        treat=((0.5, 0.5, 0.5, 0.5),),
+    )
+    for check, condition_id in ((check_cor3, "cor3.b"), (check_cor4, "cor4.b"),
+                                (check_thm5_binary, "thm5b.b")):
+        report = next(r for r in check(s) if r.condition_id == condition_id)
+        assert report.margin == math.inf
+        assert '"margin": null' in report.to_json()

@@ -17,6 +17,7 @@ from zbias import (
     serialize_scenario,
     to_discrete,
 )
+from zbias.cli import main
 
 CASE1_TEXT = """\
 # worked example, all ten probabilities
@@ -330,3 +331,39 @@ def test_non_finite_numbers_rejected(text, old, new, field):
     assert old in text
     with pytest.raises(InvariantViolation, match=f"^{re.escape(field)}: must be finite$"):
         parse_scenario(text.replace(old, new))
+
+
+# More digits than int() accepts (4,300): no table is that large.
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (DISCRETE_TEXT, f"treat[{NINES}][0] = 0.5"),
+        (DISCRETE_TEXT, f"mean[0][0][{NINES}] = 0.5"),
+        (DISCRETE_TEXT, f"law[{NINES}][0] = 0:1"),
+        (PO_TEXT, f"treat[0][{NINES}] = 0.5"),
+    ],
+    ids=["treat", "mean", "law", "po treat"],
+)
+def test_oversized_index_is_out_of_range(tmp_path, capsys, text, line):
+    base = line.partition("[")[0]
+    lineno = len(text.splitlines()) + 1
+    with pytest.raises(ScenarioFormatError, match=rf"^line {lineno}: {base} index out of range$"):
+        parse_scenario(text + line + "\n")
+    path = tmp_path / "huge.scn"
+    path.write_text(text + line + "\n")
+    assert main(["eval", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {lineno}: {base} index out of range\n"
+
+
+def test_oversized_index_depth_and_leading_zeros():
+    # A wrong depth is still reported as such, and a long run of leading
+    # zeros is just another spelling of a small index.
+    with pytest.raises(ScenarioFormatError, match=r"^line 23: treat\[9+\]: expected 2 indices$"):
+        parse_scenario(DISCRETE_TEXT + f"treat[{NINES}] = 0.5\n")
+    zeros = DISCRETE_TEXT.replace("treat[1][0] =", f"treat[{'0' * 5000}1][0] =")
+    assert parse_scenario(zeros) == parse_scenario(DISCRETE_TEXT)
