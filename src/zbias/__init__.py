@@ -66,15 +66,6 @@ from .estimators import (
     true_ace,
     unadjusted_ace,
 )
-from .montecarlo import (
-    McConfig,
-    McResult,
-    ScenarioStream,
-    draw_scenario,
-    estimate_volume,
-    export_scatter,
-    population_biases,
-)
 from .scenario import (
     IDENTITY_TOL,
     PROPENSITY_MERGE_TOL,
@@ -91,3 +82,20 @@ from .scenario import (
 from .scenario_io import load_scenario, parse_scenario, serialize_scenario
 
 __version__ = "0.1.0"
+
+# The Monte Carlo explorer is the only part that needs numpy; its names are
+# served on first use (PEP 562), so the exact engine starts without it.
+_MONTE_CARLO = ("McConfig", "McResult", "ScenarioStream", "draw_scenario",
+                "estimate_volume", "export_scatter", "population_biases")
+
+
+def __getattr__(name):
+    if name in _MONTE_CARLO:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_MONTE_CARLO})

@@ -28,7 +28,6 @@ from .errors import (
     ZbiasError,
 )
 from .estimators import covariate_average, dce, estimates, po_estimates, rr
-from .montecarlo import McConfig, estimate_volume, export_scatter
 from .scenario import (
     BinaryScenario,
     CovariateFamily,
@@ -191,6 +190,9 @@ def _run_average(args) -> int:
 
 
 def _run_mc(args) -> int:
+    # Imported here and in _run_scatter: only Monte Carlo needs numpy.
+    from .montecarlo import McConfig, estimate_volume
+
     cfg = McConfig(
         draws=args.draws,
         seed=args.seed,
@@ -201,6 +203,8 @@ def _run_mc(args) -> int:
 
 
 def _run_scatter(args) -> int:
+    from .montecarlo import McConfig, export_scatter
+
     cfg = McConfig(draws=args.draws, seed=args.seed)
     rows = export_scatter(cfg, args.out)
     try:

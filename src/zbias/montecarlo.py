@@ -28,6 +28,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import InvariantViolation
+from .estimators import _json_num
 from .rng import PARAMS_PER_DRAW, primary_uniforms, retry_block_uniforms, retry_uniforms
 from .scenario import IDENTITY_TOL, BinaryScenario
 
@@ -90,9 +91,8 @@ class McResult:
 
     def to_json(self) -> str:
         return (
-            '{"volume": %.17g, "stderr": %.17g, "draws": %d, "seed": %d, '
-            '"tie_count": %d}' % (self.volume, self.stderr, self.draws, self.seed,
-                                  self.tie_count)
+            f'{{"volume": {_json_num(self.volume)}, "stderr": {_json_num(self.stderr)}, '
+            f'"draws": {self.draws}, "seed": {self.seed}, "tie_count": {self.tie_count}}}'
         )
 
 
@@ -388,34 +388,53 @@ def _thread_count(value: int, chunks: int, cpus: int | None) -> int:
     return max(1, min(value, chunks, cpus or 1))
 
 
-def _chunks(draws: int):
-    return [(start, min(_CHUNK, draws - start)) for start in range(0, draws, _CHUNK)]
+def _workers(threads: int | None, draws: int) -> int:
+    return _thread_count(_requested_threads(threads), -(-draws // _CHUNK), os.cpu_count())
 
 
-def _map_chunks(work, draws: int, threads: int | None) -> list:
-    # Chunk results in draw order, whatever the worker count.
-    plan = _chunks(draws)
-    workers = _thread_count(_requested_threads(threads), len(plan), os.cpu_count())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(work, plan))
-    return [work(chunk) for chunk in plan]
+def _in_order(work, cfg: McConfig, workers: int, make_pool):
+    """``work(cfg, chunk)`` of every chunk of ``cfg.draws``, in draw order.
+
+    With more than one worker the chunks run in the ``make_pool(workers)``
+    pool.  The chunk plan is walked lazily, and at most ``workers + 1``
+    chunks are submitted and not yet consumed, so memory does not grow with
+    the draw count.
+    """
+    plan = ((start, min(_CHUNK, cfg.draws - start)) for start in range(0, cfg.draws, _CHUNK))
+    if workers == 1:
+        for chunk in plan:
+            yield work(cfg, chunk)
+        return
+    pool = make_pool(workers)
+    try:
+        window = deque()
+        for chunk in plan:
+            window.append(pool.submit(work, cfg, chunk))
+            if len(window) > workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _volume_block(cfg: McConfig, chunk: tuple[int, int]) -> tuple[int, int, list[int]]:
+    """Amplified and tied draw counts of one chunk, and its redraws."""
+    rows, redraws = _chunk_draws(cfg, *chunk)
+    amplified, tie = _classify(*population_biases(rows))
+    return int(amplified.sum()), int(tie.sum()), redraws
 
 
 def estimate_volume(cfg: McConfig, threads: int | None = None) -> McResult:
     """Estimated volume of the amplification region with its binomial
     standard error; exact ties are excluded from the count and reported."""
-
-    def work(chunk):
-        rows, redraws = _chunk_draws(cfg, *chunk)
-        amplified, tie = _classify(*population_biases(rows))
-        return int(amplified.sum()), int(tie.sum()), redraws
-
-    results = _map_chunks(work, cfg.draws, threads)
-    for _count, _ties, redraws in results:
-        _log_redraws(cfg.seed, redraws)
-    count = sum(r[0] for r in results)
-    ties = sum(r[1] for r in results)
+    count = ties = 0
+    blocks = _in_order(_volume_block, cfg, _workers(threads, cfg.draws), ThreadPoolExecutor)
+    with closing(blocks):
+        for block_count, block_ties, redraws in blocks:
+            _log_redraws(cfg.seed, redraws)
+            count += block_count
+            ties += block_ties
     volume = count / cfg.draws
     return McResult(
         volume=volume,
@@ -452,36 +471,18 @@ def _scatter_block(cfg: McConfig, chunk: tuple[int, int]) -> tuple[bytes, list[i
     return text.encode("ascii"), redraws
 
 
-def _scatter_blocks(cfg: McConfig, plan, workers: int):
-    """``_scatter_block`` of every chunk of ``plan``, in draw order.
-
-    With more than one worker the blocks are formatted in a process pool:
-    ``float.__repr__`` holds the GIL, so threads cannot share that work.  At
-    most ``workers + 1`` chunks are submitted and not yet consumed, so
-    memory does not grow with the draw count.
-    """
-    if workers == 1:
-        for chunk in plan:
-            yield _scatter_block(cfg, chunk)
-        return
-    # Imported here: at module top they add about 20 ms to ``import zbias``.
+def _process_pool(workers: int):
+    """Pool for ``_scatter_block``: ``float.__repr__`` holds the GIL, so
+    threads cannot share the formatting."""
+    # Imported here: at module top they would add about 20 ms to every Monte
+    # Carlo command.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     # A forked worker starts with the imported package (no re-import per
     # call) and runs only _scatter_block, which takes no lock of the parent.
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
-    try:
-        window = deque()
-        for chunk in plan:
-            window.append(pool.submit(_scatter_block, cfg, chunk))
-            if len(window) > workers:
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
 
 
 @contextmanager
@@ -535,9 +536,8 @@ def export_scatter(cfg: McConfig, path, threads: int | None = None) -> int:
     ``_thread_count``) the rows are formatted in worker processes; the bytes
     do not depend on the worker count.
     """
-    plan = _chunks(cfg.draws)
-    workers = _thread_count(_requested_threads(threads), len(plan), os.cpu_count())
-    with _replacing(path) as handle, closing(_scatter_blocks(cfg, plan, workers)) as blocks:
+    blocks = _in_order(_scatter_block, cfg, _workers(threads, cfg.draws), _process_pool)
+    with _replacing(path) as handle, closing(blocks):
         handle.write(SCATTER_HEADER.encode("ascii") + b"\n")
         for block, redraws in blocks:
             _log_redraws(cfg.seed, redraws)

@@ -803,11 +803,31 @@ def test_sequential_scatter_memory_is_flat_in_the_chunk_count(tmp_path, monkeypa
     assert peak(64) < 1.5 * peak(4)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_volume_memory_is_flat_in_the_chunk_count(monkeypatch, threads):
+    monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    estimate_volume(McConfig(draws=64, seed=9), threads=threads)  # first-call allocations
+
+    def peak(chunks):
+        tracemalloc.start()
+        try:
+            estimate_volume(McConfig(draws=64 * chunks, seed=9), threads=threads)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Two worker threads may hold their chunks' temporaries at the same
+    # moment, so the threaded peak varies by up to one chunk between runs.
+    assert peak(256) < 2 * peak(16)
+
+
 def test_import_leaves_process_pool_modules_unloaded():
     # They cost ``import zbias`` about 20 ms; only a multi-worker scatter
-    # needs them.
+    # needs them.  numpy and the Monte Carlo modules load on first use.
     probe = ("import sys, zbias; print(sorted(m for m in sys.modules if m in "
-             "('multiprocessing', 'concurrent.futures.process')))")
+             "('multiprocessing', 'concurrent.futures.process', "
+             "'numpy', 'zbias.montecarlo', 'zbias.rng')))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, timeout=60)
     assert done.stdout == "[]\n"
