@@ -30,6 +30,7 @@ from .scenario import (
     DiscreteScenario,
     PotentialOutcomeScenario,
     _propensity_values,
+    _total,
 )
 
 
@@ -148,7 +149,7 @@ def _outcome_mean_by_u(s: DiscreteScenario, arm: int) -> list[float]:
                 f"E(Y|A={arm}, U={s.u_support[j]!r}) undefined: empty conditioning event"
             )
         values.append(
-            fsum(w * s.outcome_mean[arm][i][j] for i, w in enumerate(weights)) / total
+            _total([w * s.outcome_mean[arm][i][j] for i, w in enumerate(weights)]) / total
         )
     return values
 
@@ -515,8 +516,8 @@ def check_thm4(s: PotentialOutcomeScenario) -> list[ConditionReport]:
                     f"E(Y|A={arm}, pi={pi!r}) undefined: empty arm"
                 )
         e_pi = fsum(w * pi for pi, w, _v in levels)
-        e_nu = fsum(w * v for _pi, w, v in levels)
-        cov = fsum(w * pi * v for pi, w, v in levels) - e_pi * e_nu
+        e_nu = _total([w * v for _pi, w, v in levels])
+        cov = _total([w * pi * v for pi, w, v in levels]) - e_pi * e_nu
         checks.append((f"cov(pi, E(Y|A={arm},pi))", -cov, 0.0, -cov))
     b = _report("thm4.b", checks)
     return [a, b]

@@ -43,6 +43,7 @@ from .scenario import (
     DiscreteScenario,
     PotentialOutcomeScenario,
     _propensity_values,
+    _total,
     collapse_by_propensity,
     to_discrete,
 )
@@ -172,12 +173,12 @@ def _cell_moments(cells, marginal) -> _Moments:
         )
     return _Moments(
         f,
-        fsum(w * t * y1 for w, t, y1, _y0 in cells) / f,
-        fsum(w * (1.0 - t) * y0 for w, t, _y1, y0 in cells) / (1.0 - f),
-        fsum(p * y1 for p, y1, _y0 in marginal),
-        fsum(p * y0 for p, _y1, y0 in marginal),
-        fsum(w * t * y0 for w, t, _y1, y0 in cells) / f,
-        fsum(w * (1.0 - t) * y1 for w, t, y1, _y0 in cells) / (1.0 - f),
+        _total([w * t * y1 for w, t, y1, _y0 in cells]) / f,
+        _total([w * (1.0 - t) * y0 for w, t, _y1, y0 in cells]) / (1.0 - f),
+        _total([p * y1 for p, y1, _y0 in marginal]),
+        _total([p * y0 for p, _y1, y0 in marginal]),
+        _total([w * t * y0 for w, t, _y1, y0 in cells]) / f,
+        _total([w * (1.0 - t) * y1 for w, t, y1, _y0 in cells]) / (1.0 - f),
     )
 
 
@@ -212,13 +213,13 @@ def _mu_values(s: DiscreteScenario):
             raise UndefinedStratumError(
                 f"E(Y|A=0, Z={s.z_support[i]!r}) undefined: Pr(A=0|Z=z) = 0"
             )
-        mu1 = fsum(
+        mu1 = _total([
             s.u_pmf[j] * s.treat[i][j] * s.outcome_mean[1][i][j] for j in range(s.n_u)
-        ) / pi[i]
-        mu0 = fsum(
+        ]) / pi[i]
+        mu0 = _total([
             s.u_pmf[j] * (1.0 - s.treat[i][j]) * s.outcome_mean[0][i][j]
             for j in range(s.n_u)
-        ) / (1.0 - pi[i])
+        ]) / (1.0 - pi[i])
         strata.append((s.z_support[i], s.z_pmf[i], pi[i], mu0, mu1))
     return strata
 
@@ -234,8 +235,8 @@ def _po_strata(s: PotentialOutcomeScenario):
         row = tuple(zip(s.pair_pmf, s.treat[k], s.y_pairs))
         mass1 = fsum(p * t for p, t, _y in row)
         mass0 = fsum(p * (1.0 - t) for p, t, _y in row)
-        nu1 = fsum(p * t * y1 for p, t, (y1, _y0) in row) / mass1 if mass1 > 0.0 else None
-        nu0 = fsum(p * (1.0 - t) * y0 for p, t, (_y1, y0) in row) / mass0 if mass0 > 0.0 else None
+        nu1 = _total([p * t * y1 for p, t, (y1, _) in row]) / mass1 if mass1 > 0.0 else None
+        nu0 = _total([p * (1 - t) * y0 for p, t, (_, y0) in row]) / mass0 if mass0 > 0.0 else None
         strata.append((s.pi_support[k], s.pi_pmf[k], mass1, nu0, nu1))
     return strata
 
@@ -245,10 +246,10 @@ def _standardise(strata, f: float) -> tuple[float, float, float, float]:
     means standardised over the law of the strata, of the strata given A=1
     and of the strata given A=0.  ``f`` is Pr(A=1)."""
     return (
-        fsum(w * mu1 for _lv, w, _pi, _mu0, mu1 in strata),
-        fsum(w * mu0 for _lv, w, _pi, mu0, _mu1 in strata),
-        fsum(w * pi * mu0 for _lv, w, pi, mu0, _mu1 in strata) / f,
-        fsum(w * (1.0 - pi) * mu1 for _lv, w, pi, _mu0, mu1 in strata) / (1.0 - f),
+        _total([w * mu1 for _lv, w, _pi, _mu0, mu1 in strata]),
+        _total([w * mu0 for _lv, w, _pi, mu0, _mu1 in strata]),
+        _total([w * pi * mu0 for _lv, w, pi, mu0, _mu1 in strata]) / f,
+        _total([w * (1.0 - pi) * mu1 for _lv, w, pi, _mu0, mu1 in strata]) / (1.0 - f),
     )
 
 
@@ -353,12 +354,12 @@ def adjusted_minus_unadjusted_via_covariance(
     m = _moments(s)
     strata = _mu_values(s)
     e_pi = fsum(w * pi for _z, w, pi, _mu0, _mu1 in strata)
-    cov0 = fsum(w * pi * mu0 for _z, w, pi, mu0, _mu1 in strata) - e_pi * fsum(
+    cov0 = _total([w * pi * mu0 for _z, w, pi, mu0, _mu1 in strata]) - e_pi * _total([
         w * mu0 for _z, w, _pi, mu0, _mu1 in strata
-    )
-    cov1 = fsum(w * pi * mu1 for _z, w, pi, _mu0, mu1 in strata) - e_pi * fsum(
+    ])
+    cov1 = _total([w * pi * mu1 for _z, w, pi, _mu0, mu1 in strata]) - e_pi * _total([
         w * mu1 for _z, w, _pi, _mu0, mu1 in strata
-    )
+    ])
     denom = m.f * (1.0 - m.f)
     return (
         -cov0 / denom,
@@ -489,7 +490,7 @@ def covariate_average(
     by_slot = (w_treated, w_control, w_all, w_all, w_treated, w_control, w_all)
     return EstimateSet(
         *(
-            fsum(w * getattr(e, key) for w, e in zip(weights, per))
+            _total([w * getattr(e, key) for w, e in zip(weights, per)])
             for key, weights in zip(_JSON_KEYS, by_slot)
         ),
         f_bar,

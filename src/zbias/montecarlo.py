@@ -53,7 +53,6 @@ class McConfig:
 
     draws: int
     seed: int
-    binary_outcome: bool = True
     filter: tuple[str, ...] | None = None
 
     def __post_init__(self):

@@ -39,7 +39,10 @@ def _as_float(value, name: str, finite: bool = False) -> float:
     return out
 
 
-def _float_tuple(values, name: str, finite: bool = False) -> tuple[float, ...]:
+def _float_tuple(values, name, finite: bool = False) -> tuple[float, ...]:
+    """Floats of ``values`` in one pass; on a fault each value is converted
+    again so that the first bad one is named ``name`` (``name(k)`` when
+    callable)."""
     values = tuple(values)
     try:
         out = tuple(map(float, values))
@@ -47,25 +50,79 @@ def _float_tuple(values, name: str, finite: bool = False) -> tuple[float, ...]:
             return out
     except (TypeError, ValueError):
         pass
-    return tuple(_as_float(v, name, finite) for v in values)
+    return tuple(_as_float(v, name(k) if callable(name) else name, finite)
+                 for k, v in enumerate(values))
 
 
-def _check_prob(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise InvariantViolation(f"must lie in [0, 1], got {value!r}", field=name)
+def _float_pairs(pairs, name, finite: bool) -> tuple[tuple[float, float], ...]:
+    """Float pairs (x, y) of ``pairs`` in one pass, x finite and y too when
+    ``finite``; on a fault the pairs are walked again in order, naming the
+    first bad value ``name`` (``name()`` when callable)."""
+    pairs = tuple(pairs)
+    try:
+        flat = tuple(map(float, [c for x, y in pairs for c in (x, y)]))
+        if math.isfinite(sum(flat)):
+            return tuple(zip(flat[::2], flat[1::2]))
+    except (TypeError, ValueError):
+        pass
+    name = name() if callable(name) else name
+    return tuple((_as_float(x, name, True), _as_float(y, name, finite)) for x, y in pairs)
 
 
-def _in_unit_interval(row: tuple[float, ...]) -> bool:
-    # Exact for a nonempty row without NaN, which min and max could skip.
-    return 0.0 <= min(row) and max(row) <= 1.0
+def _total(terms) -> float:
+    """``fsum`` of a sequence, or its plain float sum (an infinity or NaN)
+    when a partial sum overflows or infinities of both signs meet."""
+    try:
+        return fsum(terms)
+    except (OverflowError, ValueError):
+        return sum(terms)
 
 
-def _check_probs(row: tuple[float, ...], name: str) -> None:
-    """``_check_prob`` on each entry of a nonempty, NaN-free row, naming the
-    first bad one ``name[k]``."""
-    if not _in_unit_interval(row):
-        for k, value in enumerate(row):
-            _check_prob(value, f"{name}[{k}]")
+def _check_cells(row: tuple[float, ...], name, unit=False, finite=False) -> None:
+    """One bulk test of a nonempty, NaN-free row: each cell finite (when
+    ``finite``) and in [0, 1] (when ``unit``).  On a fault the row is walked
+    to name the first bad cell ``name[k]`` (``name(k)`` when callable)."""
+    if (not finite or math.isfinite(sum(row))) and (
+            not unit or 0.0 <= min(row) <= max(row) <= 1.0):
+        return
+    for k, value in enumerate(row):
+        field = name(k) if callable(name) else f"{name}[{k}]"
+        if finite and not math.isfinite(value):
+            raise InvariantViolation("must be finite", field=field)
+        if unit and not 0.0 <= value <= 1.0:
+            raise InvariantViolation(f"must lie in [0, 1], got {value!r}", field=field)
+
+
+def _rows(table, name: str, n_rows: int | None = None) -> tuple[tuple[float, ...], ...]:
+    """A table's rows converted by ``_float_tuple``, row k named ``name[k]``;
+    with ``n_rows`` the row count is checked first."""
+    if n_rows is not None and len(table) != n_rows:
+        raise InvariantViolation(f"expected {n_rows} rows", field=name)
+    return tuple(_float_tuple(row, f"{name}[{k}]") for k, row in enumerate(table))
+
+
+def _check_table(rows, name: str, n_rows: int, n_cols: int, row_check=None,
+                 unit=False, finite=False) -> None:
+    """Shape and ``_check_cells`` of converted rows, row by row;
+    ``row_check(k, row)`` runs after each row's cell checks."""
+    if len(rows) != n_rows:
+        raise InvariantViolation(f"expected {n_rows} rows", field=name)
+    for k, row in enumerate(rows):
+        if len(row) != n_cols:
+            raise InvariantViolation(f"expected {n_cols} entries", field=f"{name}[{k}]")
+        _check_cells(row, f"{name}[{k}]", unit, finite)
+        if row_check is not None:
+            row_check(k, row)
+
+
+def _binary_table(table, head: str, **cells):
+    """A 2x2 table as two rows of floats, cell (i, k) named ``{head}{i}{k}``."""
+    if len(table) != 2 or any(len(row) != 2 for row in table):
+        raise InvariantViolation("must be a 2x2 table", field=head)
+    name = lambda k: f"{head}{k >> 1}{k & 1}"
+    flat = _float_tuple((table[0][0], table[0][1], table[1][0], table[1][1]), name)
+    _check_cells(flat, name, **cells)
+    return flat[:2], flat[2:]
 
 
 def _check_strictly_increasing(values: tuple[float, ...], name: str) -> None:
@@ -85,7 +142,7 @@ def _check_pmf(pmf: tuple[float, ...], size: int, name: str) -> None:
         for k, p in enumerate(pmf):
             if p < 0.0 or not math.isfinite(p):
                 raise InvariantViolation(f"entry {k} must be nonnegative, got {p!r}", field=name)
-    total = fsum(pmf)
+    total = _total(pmf)
     if abs(total - 1.0) > VALIDATION_TOL:
         raise InvariantViolation(f"must sum to 1, got {total!r}", field=name)
 
@@ -106,33 +163,15 @@ class BinaryScenario:
     binary_outcome: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "z_prob", _as_float(self.z_prob, "pZ"))
-        object.__setattr__(self, "u_prob", _as_float(self.u_prob, "pU"))
-        _check_prob(self.z_prob, "pZ")
-        _check_prob(self.u_prob, "pU")
-        if len(self.treat) != 2 or any(len(row) != 2 for row in self.treat):
-            raise InvariantViolation("must be a 2x2 table", field="p")
-        treat = tuple(
-            tuple(_as_float(self.treat[z][u], f"p{z}{u}") for u in (0, 1)) for z in (0, 1)
-        )
-        object.__setattr__(self, "treat", treat)
-        for z in (0, 1):
-            for u in (0, 1):
-                _check_prob(treat[z][u], f"p{z}{u}")
-        if len(self.outcome_mean) != 2 or any(len(row) != 2 for row in self.outcome_mean):
-            raise InvariantViolation("must be a 2x2 table", field="r")
-        mean = tuple(
-            tuple(_as_float(self.outcome_mean[a][u], f"r{a}{u}") for u in (0, 1))
-            for a in (0, 1)
-        )
+        names = ("pZ", "pU").__getitem__
+        z_prob, u_prob = _float_tuple((self.z_prob, self.u_prob), names)
+        object.__setattr__(self, "z_prob", z_prob)
+        object.__setattr__(self, "u_prob", u_prob)
+        _check_cells((z_prob, u_prob), names, unit=True)
+        object.__setattr__(self, "treat", _binary_table(self.treat, "p", unit=True))
+        mean = _binary_table(self.outcome_mean, "r", finite=True, unit=self.binary_outcome)
         object.__setattr__(self, "outcome_mean", mean)
         object.__setattr__(self, "binary_outcome", bool(self.binary_outcome))
-        for a in (0, 1):
-            for u in (0, 1):
-                if not math.isfinite(mean[a][u]):
-                    raise InvariantViolation("must be finite", field=f"r{a}{u}")
-                if self.binary_outcome:
-                    _check_prob(mean[a][u], f"r{a}{u}")
 
 
 # outcome_law[a][u_index] is a finite distribution ((value, prob), ...) of Y
@@ -170,84 +209,53 @@ class DiscreteScenario:
         _check_pmf(self.z_pmf, self.n_z, "z_pmf")
         _check_pmf(self.u_pmf, self.n_u, "u_pmf")
 
-        if len(self.treat) != self.n_z:
-            raise InvariantViolation(f"expected {self.n_z} rows", field="treat")
-        treat = tuple(
-            _float_tuple(row, f"treat[{i}]") for i, row in enumerate(self.treat)
-        )
+        treat = _rows(self.treat, "treat", self.n_z)
         object.__setattr__(self, "treat", treat)
-        for i, row in enumerate(treat):
-            if len(row) != self.n_u:
-                raise InvariantViolation(f"expected {self.n_u} entries", field=f"treat[{i}]")
-            _check_probs(row, f"treat[{i}]")
+        _check_table(treat, "treat", self.n_z, self.n_u, unit=True)
 
         if len(self.outcome_mean) != 2:
             raise InvariantViolation("expected tables for a=0 and a=1", field="mean")
-        mean = tuple(
-            tuple(_float_tuple(row, f"mean[{a}][{i}]") for i, row in enumerate(arm))
-            for a, arm in enumerate(self.outcome_mean)
-        )
+        mean = tuple(_rows(arm, f"mean[{a}]") for a, arm in enumerate(self.outcome_mean))
         object.__setattr__(self, "outcome_mean", mean)
-        for a in (0, 1):
-            if len(mean[a]) != self.n_z:
-                raise InvariantViolation(f"expected {self.n_z} rows", field=f"mean[{a}]")
-            for i, row in enumerate(mean[a]):
-                if len(row) != self.n_u:
-                    raise InvariantViolation(
-                        f"expected {self.n_u} entries", field=f"mean[{a}][{i}]"
-                    )
-                if math.isfinite(sum(row)) and (
-                    not self.binary_outcome or _in_unit_interval(row)
-                ):
-                    continue
-                for j, cell in enumerate(row):
-                    if not math.isfinite(cell):
-                        raise InvariantViolation("must be finite", field=f"mean[{a}][{i}][{j}]")
-                    if self.binary_outcome:
-                        _check_prob(cell, f"mean[{a}][{i}][{j}]")
-
+        for a, arm in enumerate(mean):
+            _check_table(arm, f"mean[{a}]", self.n_z, self.n_u,
+                         finite=True, unit=self.binary_outcome)
         if self.outcome_law is not None:
-            law = tuple(
-                tuple(
-                    tuple(
-                        (_as_float(v, f"law[{a}][{j}]", finite=True),
-                         _as_float(p, f"law[{a}][{j}]"))
-                        for v, p in law_au
+            object.__setattr__(self, "outcome_law", self._checked_law())
+
+    def _checked_law(self) -> OutcomeLaw:
+        """The outcome law converted pair by pair and checked against the means."""
+        law = tuple(
+            tuple(_float_pairs(cell, lambda: f"law[{a}][{j}]", finite=False)
+                  for j, cell in enumerate(arm))
+            for a, arm in enumerate(self.outcome_law)
+        )
+        if len(law) != 2 or any(len(arm) != self.n_u for arm in law):
+            raise InvariantViolation("expected one distribution per (a, u) cell", field="law")
+        for a in (0, 1):
+            columns = tuple(zip(*self.outcome_mean[a]))
+            for j, (cell, column) in enumerate(zip(law[a], columns)):
+                name = f"law[{a}][{j}]"
+                values, probs = tuple(zip(*cell)) or ((), ())
+                _check_strictly_increasing(values, name)
+                _check_pmf(probs, len(probs), name)
+                if self.binary_outcome and not {0.0, 1.0}.issuperset(values):
+                    raise InvariantViolation(
+                        "binary outcome law must be supported on {0, 1}", field=name
                     )
-                    for j, law_au in enumerate(arm)
-                )
-                for a, arm in enumerate(self.outcome_law)
-            )
-            object.__setattr__(self, "outcome_law", law)
-            if len(law) != 2 or any(len(arm) != self.n_u for arm in law):
-                raise InvariantViolation(
-                    "expected one distribution per (a, u) cell", field="law"
-                )
-            columns = [tuple(zip(*mean[a])) for a in (0, 1)]
-            for a in (0, 1):
-                for j in range(self.n_u):
-                    name = f"law[{a}][{j}]"
-                    values = tuple(v for v, _ in law[a][j])
-                    probs = tuple(p for _, p in law[a][j])
-                    _check_strictly_increasing(values, name)
-                    _check_pmf(probs, len(probs), name)
-                    if self.binary_outcome and any(v not in (0.0, 1.0) for v in values):
-                        raise InvariantViolation(
-                            "binary outcome law must be supported on {0, 1}", field=name
-                        )
-                    law_mean = fsum(v * p for v, p in law[a][j])
-                    # IEEE subtraction is monotone, so the column's extremes
-                    # bound every |law_mean - mean| exactly.
-                    column = columns[a][j]
-                    gaps = (abs(law_mean - min(column)), abs(law_mean - max(column)))
-                    if max(gaps) > VALIDATION_TOL:
-                        i = next(i for i, m in enumerate(column)
-                                 if abs(law_mean - m) > VALIDATION_TOL)
-                        raise InvariantViolation(
-                            f"law mean {law_mean!r} does not match "
-                            f"mean[{a}][{i}][{j}] = {column[i]!r}",
-                            field=name,
-                        )
+                law_mean = _total([v * p for v, p in cell])
+                # IEEE subtraction is monotone, so the column's extremes
+                # bound every |law_mean - mean| exactly.
+                gaps = (abs(law_mean - min(column)), abs(law_mean - max(column)))
+                if max(gaps) > VALIDATION_TOL:
+                    i = next(i for i, m in enumerate(column)
+                             if abs(law_mean - m) > VALIDATION_TOL)
+                    raise InvariantViolation(
+                        f"law mean {law_mean!r} does not match "
+                        f"mean[{a}][{i}][{j}] = {column[i]!r}",
+                        field=name,
+                    )
+        return law
 
     @property
     def n_z(self) -> int:
@@ -288,14 +296,11 @@ class PotentialOutcomeScenario:
             self, "pi_support", _float_tuple(self.pi_support, "pi_support", finite=True)
         )
         object.__setattr__(self, "pi_pmf", _float_tuple(self.pi_pmf, "pi_pmf"))
-        pairs = tuple(
-            (_as_float(y1, "y_pairs", finite=True), _as_float(y0, "y_pairs", finite=True))
-            for y1, y0 in self.y_pairs
-        )
+        pairs = _float_pairs(self.y_pairs, "y_pairs", finite=True)
         object.__setattr__(self, "y_pairs", pairs)
         object.__setattr__(self, "pair_pmf", _float_tuple(self.pair_pmf, "y_pairs"))
         _check_strictly_increasing(self.pi_support, "pi_support")
-        _check_probs(self.pi_support, "pi_support")
+        _check_cells(self.pi_support, "pi_support", unit=True)
         _check_pmf(self.pi_pmf, len(self.pi_support), "pi_pmf")
         if not pairs:
             raise InvariantViolation("must be nonempty", field="y_pairs")
@@ -303,18 +308,7 @@ class PotentialOutcomeScenario:
             raise InvariantViolation("pairs must be distinct", field="y_pairs")
         _check_pmf(self.pair_pmf, len(pairs), "y_pairs")
 
-        if len(self.treat) != len(self.pi_support):
-            raise InvariantViolation(
-                f"expected {len(self.pi_support)} rows", field="treat"
-            )
-        treat = tuple(
-            _float_tuple(row, f"treat[{k}]") for k, row in enumerate(self.treat)
-        )
-        object.__setattr__(self, "treat", treat)
-        for k, row in enumerate(treat):
-            if len(row) != len(pairs):
-                raise InvariantViolation(f"expected {len(pairs)} entries", field=f"treat[{k}]")
-            _check_probs(row, f"treat[{k}]")
+        def implies_pi(k, row):
             implied = fsum(t * p for t, p in zip(row, self.pair_pmf))
             if abs(implied - self.pi_support[k]) > VALIDATION_TOL:
                 raise InvariantViolation(
@@ -322,6 +316,10 @@ class PotentialOutcomeScenario:
                     f"at pi={self.pi_support[k]!r}",
                     field=f"treat[{k}]",
                 )
+
+        treat = _rows(self.treat, "treat", self.n_pi)
+        object.__setattr__(self, "treat", treat)
+        _check_table(treat, "treat", self.n_pi, len(pairs), row_check=implies_pi, unit=True)
 
     @property
     def n_pi(self) -> int:
@@ -356,7 +354,7 @@ class CovariateFamily:
         object.__setattr__(self, "strata", tuple(self.strata))
         if not self.strata:
             raise InvariantViolation("must contain at least one stratum", field="strata")
-        total = fsum(st.weight for st in self.strata)
+        total = _total([st.weight for st in self.strata])
         if abs(total - 1.0) > VALIDATION_TOL:
             raise InvariantViolation(f"weights must sum to 1, got {total!r}", field="strata")
 
@@ -370,23 +368,14 @@ def to_discrete(scenario: BinaryScenario) -> DiscreteScenario:
     """
     law = None
     if scenario.binary_outcome:
-        law = tuple(
-            tuple(
-                ((0.0, 1.0 - scenario.outcome_mean[a][u]), (1.0, scenario.outcome_mean[a][u]))
-                for u in (0, 1)
-            )
-            for a in (0, 1)
-        )
+        law = tuple(tuple(((0.0, 1.0 - r), (1.0, r)) for r in m) for m in scenario.outcome_mean)
     return DiscreteScenario(
         z_support=(0.0, 1.0),
         z_pmf=(1.0 - scenario.z_prob, scenario.z_prob),
         u_support=(0.0, 1.0),
         u_pmf=(1.0 - scenario.u_prob, scenario.u_prob),
         treat=scenario.treat,
-        outcome_mean=(
-            (scenario.outcome_mean[0], scenario.outcome_mean[0]),
-            (scenario.outcome_mean[1], scenario.outcome_mean[1]),
-        ),
+        outcome_mean=tuple((row, row) for row in scenario.outcome_mean),
         outcome_law=law,
         binary_outcome=scenario.binary_outcome,
     )
@@ -455,7 +444,7 @@ def collapse_by_propensity(
             )
             means = tuple(
                 tuple(
-                    fsum(w * scenario.outcome_mean[a][i][j] for w, i in zip(weights, group))
+                    _total([w * scenario.outcome_mean[a][i][j] for w, i in zip(weights, group)])
                     for j in range(scenario.n_u)
                 )
                 for a in (0, 1)

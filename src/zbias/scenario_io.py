@@ -333,9 +333,17 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Read and parse a scenario file from disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+    """Read and parse a scenario file from disk; a file that is not UTF-8
+    raises ``ScenarioFormatError`` naming the line of its first bad byte."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines are counted as parse_scenario splits them.
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise ScenarioFormatError("not valid UTF-8 text", line) from None
+    return parse_scenario(text)
 
 
 def _format_list(values) -> str:
