@@ -22,7 +22,7 @@ from .errors import (
     UndefinedConditionalError,
     ZeroDenominatorError,
 )
-from .estimators import EstimateSet, _json_num, _mu_values, _po_strata
+from .estimators import EstimateSet, _json_num, _mu_values, _pi_covariance, _po_strata
 from .scenario import (
     IDENTITY_TOL,
     VALIDATION_TOL,
@@ -509,15 +509,13 @@ def check_thm4(s: PotentialOutcomeScenario) -> list[ConditionReport]:
     strata = _po_strata(s)
     checks = []
     for arm in (0, 1):
-        levels = [(pi, w, nu[arm]) for pi, w, _mass1, *nu in strata]
-        for pi, _w, value in levels:
+        levels = [(w, pi, nu[arm]) for pi, w, _mass1, *nu in strata]
+        for _w, pi, value in levels:
             if value is None:
                 raise UndefinedConditionalError(
                     f"E(Y|A={arm}, pi={pi!r}) undefined: empty arm"
                 )
-        e_pi = fsum(w * pi for pi, w, _v in levels)
-        e_nu = _total([w * v for _pi, w, v in levels])
-        cov = _total([w * pi * v for pi, w, v in levels]) - e_pi * e_nu
+        cov = _pi_covariance(levels)
         checks.append((f"cov(pi, E(Y|A={arm},pi))", -cov, 0.0, -cov))
     b = _report("thm4.b", checks)
     return [a, b]

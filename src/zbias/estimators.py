@@ -37,7 +37,6 @@ from .errors import (
 )
 from .scenario import (
     IDENTITY_TOL,
-    PROPENSITY_MERGE_TOL,
     BinaryScenario,
     CovariateFamily,
     DiscreteScenario,
@@ -297,10 +296,10 @@ def _check_conditioning(conditioning: str) -> None:
         raise InvariantViolation(f"unknown conditioning {conditioning!r}", field="conditioning")
 
 
-def _adjustment(s: DiscreteScenario, m: _Moments, conditioning: str, merge_tol: float):
+def _adjustment(s: DiscreteScenario, m: _Moments, conditioning: str):
     """Moments and standardised means of the world adjustment conditions on:
     ``s`` itself or its propensity collapse.  ``m`` holds the moments of ``s``."""
-    world = s if conditioning == "on_z" else collapse_by_propensity(s, merge_tol)
+    world = s if conditioning == "on_z" else collapse_by_propensity(s)
     m_world = m if world is s else _moments(world)
     return m_world, _standardise(_mu_values(world), m_world.f)
 
@@ -325,19 +324,24 @@ def unadjusted_ace(s: DiscreteScenario) -> float:
 
 
 def adjusted_ace(
-    s: DiscreteScenario,
-    conditioning: Conditioning = "on_z",
-    merge_tol: float = PROPENSITY_MERGE_TOL,
+    s: DiscreteScenario, conditioning: Conditioning = "on_z"
 ) -> tuple[float, float, float]:
     """(treated, control, whole-population) adjusted estimators.
 
-    ``on_propensity`` first collapses instrument levels sharing a propensity
-    and then standardises over the collapsed levels.
+    ``on_propensity`` first collapses instrument levels whose propensities
+    agree within ``PROPENSITY_MERGE_TOL`` and then standardises over the
+    collapsed levels.
     """
     _check_conditioning(conditioning)
-    world = s if conditioning == "on_z" else collapse_by_propensity(s, merge_tol)
-    m = _moments(world)
-    return _differences(_adjusted_pairs(m, _standardise(_mu_values(world), m.f)))
+    return _differences(_adjusted_pairs(*_adjustment(s, _moments(s), conditioning)))
+
+
+def _pi_covariance(levels) -> float:
+    """cov{pi, v} over levels (w, pi, v) of a law with masses w:
+    E[pi v] - E[pi] E[v]."""
+    e_pi = fsum(w * pi for w, pi, _v in levels)
+    e_v = _total([w * v for w, _pi, v in levels])
+    return _total([w * pi * v for w, pi, v in levels]) - e_pi * e_v
 
 
 def adjusted_minus_unadjusted_via_covariance(
@@ -353,13 +357,7 @@ def adjusted_minus_unadjusted_via_covariance(
     """
     m = _moments(s)
     strata = _mu_values(s)
-    e_pi = fsum(w * pi for _z, w, pi, _mu0, _mu1 in strata)
-    cov0 = _total([w * pi * mu0 for _z, w, pi, mu0, _mu1 in strata]) - e_pi * _total([
-        w * mu0 for _z, w, _pi, mu0, _mu1 in strata
-    ])
-    cov1 = _total([w * pi * mu1 for _z, w, pi, _mu0, mu1 in strata]) - e_pi * _total([
-        w * mu1 for _z, w, _pi, _mu0, mu1 in strata
-    ])
+    cov0, cov1 = (_pi_covariance([(w, pi, mu[a]) for _z, w, pi, *mu in strata]) for a in (0, 1))
     denom = m.f * (1.0 - m.f)
     return (
         -cov0 / denom,
@@ -372,7 +370,6 @@ def estimates(
     scenario: BinaryScenario | DiscreteScenario,
     conditioning: Conditioning = "on_z",
     allow_direct_effect: bool = False,
-    merge_tol: float = PROPENSITY_MERGE_TOL,
 ) -> EstimateSet:
     """All seven estimands of a (binary or discrete) scenario."""
     s = to_discrete(scenario) if isinstance(scenario, BinaryScenario) else scenario
@@ -381,7 +378,7 @@ def estimates(
     m = _moments(s)
     _require_no_direct_effect(s, allow_direct_effect)
     _check_conditioning(conditioning)
-    m_world, means = _adjustment(s, m, conditioning, merge_tol)
+    m_world, means = _adjustment(s, m, conditioning)
     return EstimateSet(*_differences(_slot_pairs(m, m_world, means)), m.f, conditioning)
 
 
@@ -389,7 +386,6 @@ def dce(
     s: DiscreteScenario,
     threshold: float,
     conditioning: Conditioning = "on_z",
-    merge_tol: float = PROPENSITY_MERGE_TOL,
 ) -> DceSet:
     """Distributional causal effects at a threshold: estimands of I(Y > y).
 
@@ -398,6 +394,10 @@ def dce(
     estimands; above the top outcome value every slot is zero.  The
     threshold must be finite.
     """
+    try:
+        threshold = float(threshold)
+    except OverflowError as exc:  # an int beyond the double range
+        raise InvariantViolation("must be finite", field="threshold") from exc
     if not isfinite(threshold):
         raise InvariantViolation("must be finite", field="threshold")
     if s.outcome_law is None:
@@ -423,15 +423,11 @@ def dce(
         outcome_law=None,
         binary_outcome=True,
     )
-    e = estimates(dichotomized, conditioning, merge_tol=merge_tol)
-    return DceSet(**vars(e), threshold=float(threshold))
+    e = estimates(dichotomized, conditioning)
+    return DceSet(**vars(e), threshold=threshold)
 
 
-def rr(
-    s: DiscreteScenario,
-    conditioning: Conditioning = "on_z",
-    merge_tol: float = PROPENSITY_MERGE_TOL,
-) -> RrSet:
+def rr(s: DiscreteScenario, conditioning: Conditioning = "on_z") -> RrSet:
     """Ratio-scale estimands.
 
     Outcome means must be nonnegative (binary or positive outcomes); the
@@ -448,7 +444,7 @@ def rr(
     _check_conditioning(conditioning)
     _require_no_direct_effect(s, allow_direct_effect=False)
     m = _moments(s)
-    _m_world, means = _adjustment(s, m, conditioning, merge_tol)
+    _m_world, means = _adjustment(s, m, conditioning)
     # The adjusted ratios take the observed arm means of ``s`` itself, not of
     # the collapsed world (the two agree up to rounding); the bytes rely on it.
     values = []
@@ -463,7 +459,6 @@ def covariate_average(
     family: CovariateFamily,
     conditioning: Conditioning = "on_z",
     allow_direct_effect: bool = False,
-    merge_tol: float = PROPENSITY_MERGE_TOL,
 ) -> EstimateSet:
     """Estimands averaged over observed covariate strata.
 
@@ -472,10 +467,7 @@ def covariate_average(
     renormalised) and control slots by the law given A=0.
     """
     active = [st for st in family.strata if st.weight > 0.0]
-    per = [
-        estimates(st.scenario, conditioning, allow_direct_effect, merge_tol)
-        for st in active
-    ]
+    per = [estimates(st.scenario, conditioning, allow_direct_effect) for st in active]
     f_bar = fsum(st.weight * e.treated_fraction for st, e in zip(active, per))
     if not 0.0 < f_bar < 1.0:
         raise DegeneratePopulationError(

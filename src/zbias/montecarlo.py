@@ -24,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass
 from math import sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -38,39 +39,36 @@ SCATTER_HEADER = "pZ,pU,p11,p10,p01,p00,r11,r10,r01,r00,bias_adj,bias_unadj,zbia
 
 _CHUNK = 1 << 15
 _BLOCK = 1 << 13
-_FILTERS = ("cor1", "cor2")
+_FILTERS = (("cor1",), ("cor2",))
 
 
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo run description.
 
-    ``filter`` restricts the sampled space by projection: "cor1" draws
+    ``filter`` restricts the sampled space by projection: ("cor1",) draws
     interaction-free monotone treatment tables on the additive scale,
-    "cor2" on the multiplicative scale (outcome means made monotone in the
-    confounder in both cases).
+    ("cor2",) on the multiplicative scale (outcome means made monotone in
+    the confounder in both cases).
     """
 
     draws: int
     seed: int
-    filter: tuple[str, ...] | None = None
+    filter: tuple[str] | None = None
 
     def __post_init__(self):
+        for name in ("draws", "seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise InvariantViolation("must be an integer", field=name)
         if self.draws < 1:
             raise InvariantViolation("must be at least 1", field="draws")
         if not 0 <= self.seed < 2**64:
             raise InvariantViolation("must fit in 64 bits", field="seed")
-        if self.filter is not None:
-            normalized = tuple(name.split(".")[0] for name in self.filter)
-            for name in normalized:
-                if name not in _FILTERS:
-                    raise InvariantViolation(
-                        f"unknown filter {name!r} (supported: {', '.join(_FILTERS)})",
-                        field="filter",
-                    )
-            if len(normalized) > 1:
-                raise InvariantViolation("at most one filter is supported", field="filter")
-            object.__setattr__(self, "filter", normalized)
+        if self.filter is not None and self.filter not in _FILTERS:
+            raise InvariantViolation(
+                f"must be None, {' or '.join(map(repr, _FILTERS))}, got {self.filter!r}",
+                field="filter",
+            )
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ from .errors import InvariantViolation
 IDENTITY_TOL = 1e-12
 # Input validation (pmf sums, model-fit residuals, law/mean agreement).
 VALIDATION_TOL = 1e-9
-# Default tolerance for merging instrument levels with equal propensity.
+# Instrument levels whose propensities agree within this merge when
+# adjustment conditions on the propensity.
 PROPENSITY_MERGE_TOL = 1e-9
 
 
@@ -32,6 +33,8 @@ def _as_float(value, name: str, finite: bool = False) -> float:
         out = float(value)
     except (TypeError, ValueError) as exc:
         raise InvariantViolation("must be a number", field=name) from exc
+    except OverflowError as exc:  # an int beyond the double range
+        raise InvariantViolation("must be finite", field=name) from exc
     if math.isnan(out):
         raise InvariantViolation("must not be NaN", field=name)
     if finite and math.isinf(out):
@@ -48,7 +51,7 @@ def _float_tuple(values, name, finite: bool = False) -> tuple[float, ...]:
         out = tuple(map(float, values))
         if math.isfinite(sum(out)):  # no NaN or infinity, so nothing to name
             return out
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     return tuple(_as_float(v, name(k) if callable(name) else name, finite)
                  for k, v in enumerate(values))
@@ -63,7 +66,7 @@ def _float_pairs(pairs, name, finite: bool) -> tuple[tuple[float, float], ...]:
         flat = tuple(map(float, [c for x, y in pairs for c in (x, y)]))
         if math.isfinite(sum(flat)):
             return tuple(zip(flat[::2], flat[1::2]))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     name = name() if callable(name) else name
     return tuple((_as_float(x, name, True), _as_float(y, name, finite)) for x, y in pairs)
@@ -265,12 +268,12 @@ class DiscreteScenario:
     def n_u(self) -> int:
         return len(self.u_support)
 
-    def outcome_mean_depends_on_z(self, tol: float = IDENTITY_TOL) -> bool:
-        """True when some E(Y|A=a,Z=z,U=u) varies with z beyond ``tol``."""
+    def outcome_mean_depends_on_z(self) -> bool:
+        """True when some E(Y|A=a,Z=z,U=u) varies with z beyond ``IDENTITY_TOL``."""
         for a in (0, 1):
             base = self.outcome_mean[a][0]
             for row in self.outcome_mean[a][1:]:
-                if any(abs(x - y) > tol for x, y in zip(row, base)):
+                if any(abs(x - y) > IDENTITY_TOL for x, y in zip(row, base)):
                     return True
         return False
 

@@ -269,6 +269,11 @@ def test_dce_above_support_is_zero(case1):
         assert getattr(d, slot) == 0.0
 
 
+def test_dce_names_an_int_threshold_beyond_the_float_range(case1):
+    with pytest.raises(InvariantViolation, match="^threshold: must be finite$"):
+        dce(to_discrete(case1), 10**400)
+
+
 def test_dce_three_valued_outcome_matches_dichotomized_scenario():
     # Outcome in {0, 1, 2}; threshold between 1 and 2 keeps only the top value.
     law = (

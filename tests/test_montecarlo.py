@@ -155,6 +155,22 @@ def test_bad_config_rejected():
         McConfig(draws=10, seed=1, filter=("cor9",))
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("draws", dict(draws=1.5, seed=1)),
+    ("seed", dict(draws=10, seed=1.5)),
+])
+def test_config_rejects_non_integer_counts(field, kwargs):
+    with pytest.raises(InvariantViolation, match=f"^{field}: must be an integer$"):
+        McConfig(**kwargs)
+
+
+@pytest.mark.parametrize("spelling", ["cor1", ("cor1.a",), ("cor1", "cor2"), ["cor1"]],
+                         ids=["string", "dotted", "two-names", "list"])
+def test_config_takes_one_filter_spelling(spelling):
+    with pytest.raises(InvariantViolation, match="^filter: must be None, "):
+        McConfig(draws=10, seed=1, filter=spelling)
+
+
 # ---------------------------------------------------------------------------
 # Vectorised kernel against the exact estimators
 

@@ -1,10 +1,12 @@
 """Snapshot of the package's public names.
 
 A refactor must not drop or rename an exported name or a field of the
-fitted-model types; changing this snapshot is a deliberate API change.
+fitted-model types, nor change a public function's parameters; changing
+this snapshot is a deliberate API change.
 """
 
 import dataclasses
+import inspect
 import types
 
 import zbias
@@ -30,6 +32,52 @@ PUBLIC_NAMES = [
     "unadjusted_ace", "zbias_verdict",
 ]
 
+# Parameter names of every public function: a knob added back is a
+# deliberate snapshot change.
+PUBLIC_SIGNATURES = {
+    "adjusted_ace": ["s", "conditioning"],
+    "adjusted_minus_unadjusted_via_covariance": ["s"],
+    "check_collider_association": ["s", "arm"],
+    "check_cor1": ["s"],
+    "check_cor2": ["s"],
+    "check_cor3": ["s"],
+    "check_cor4": ["s"],
+    "check_lemma_s5": ["p11", "p10", "p01", "p00"],
+    "check_lemma_s7": ["p11", "p10", "p01", "p00"],
+    "check_thm1": ["s"],
+    "check_thm2": ["s"],
+    "check_thm3": ["s"],
+    "check_thm4": ["s"],
+    "check_thm5_binary": ["s"],
+    "check_thm7": ["s"],
+    "check_weaker_condition": ["s"],
+    "collapse_by_propensity": ["scenario", "tol"],
+    "covariate_average": ["family", "conditioning", "allow_direct_effect"],
+    "dce": ["s", "threshold", "conditioning"],
+    "draw_scenario": ["stream"],
+    "estimate_volume": ["cfg", "threads"],
+    "estimates": ["scenario", "conditioning", "allow_direct_effect"],
+    "export_scatter": ["cfg", "path", "threads"],
+    "fit_additive": ["s"],
+    "fit_cor3_model": ["s"],
+    "fit_cor4_model": ["s"],
+    "fit_multiplicative": ["s"],
+    "load_scenario": ["path"],
+    "outcome_odds_ratio": ["s"],
+    "parse_scenario": ["text"],
+    "po_estimates": ["s"],
+    "population_biases": ["params"],
+    "propensity": ["scenario"],
+    "reports_to_json": ["reports"],
+    "rr": ["s", "conditioning"],
+    "serialize_scenario": ["scenario"],
+    "to_discrete": ["scenario"],
+    "true_ace": ["s", "allow_direct_effect"],
+    "unadjusted_ace": ["s"],
+    "zbias_verdict": ["e"],
+    "DiscreteScenario.outcome_mean_depends_on_z": ["self"],
+}
+
 DECOMPOSITION_FIELDS = ["z_levels", "z_effect", "u_levels", "u_effect", "residual_max"]
 SELECTION_FIELDS = ["alpha", "delta", "eta", "theta", "residual_max"]
 
@@ -53,3 +101,17 @@ def test_fitted_model_fields():
         (zbias.Cor4Model, SELECTION_FIELDS),
     ):
         assert [f.name for f in dataclasses.fields(cls)] == fields, cls.__name__
+
+
+def test_public_signatures():
+    functions = {
+        name: getattr(zbias, name) for name in dir(zbias)
+        if not name.startswith("_") and inspect.isfunction(getattr(zbias, name))
+    }
+    functions["DiscreteScenario.outcome_mean_depends_on_z"] = (
+        zbias.DiscreteScenario.outcome_mean_depends_on_z
+    )
+    signatures = {
+        name: list(inspect.signature(fn).parameters) for name, fn in functions.items()
+    }
+    assert signatures == PUBLIC_SIGNATURES

@@ -112,6 +112,17 @@ def test_family_weights_must_sum_to_one():
         CovariateFamily(strata=(Stratum("x0", 0.4, s), Stratum("x1", 0.4, s)))
 
 
+def test_binary_scenario_names_an_int_beyond_the_float_range():
+    with pytest.raises(InvariantViolation, match="^pZ: must be finite$"):
+        binary_from_params(10**400, 0.5, 0.8, 0.6, 0.2, 0.1, 0.08, 0.06, 0.02, 0.01)
+
+
+def test_stratum_names_an_int_weight_beyond_the_float_range():
+    s = to_discrete(worked_case("case1"))
+    with pytest.raises(InvariantViolation, match="^weight: must be finite$"):
+        Stratum("x0", 10**400, s)
+
+
 def test_to_discrete_matches_worked_case(case1):
     d = to_discrete(case1)
     assert d.z_support == (0.0, 1.0)
