@@ -754,25 +754,6 @@ class ZbiasVerdict:
     def label(self) -> str:
         return "YES" if self.zbias else "NO"
 
-    def to_json(self) -> str:
-        slots = ", ".join(
-            '{"slot": "%s", "signed_ordering": %s, "amplification": %s, '
-            '"ordering_margin": %s, "amplification_margin": %s}'
-            % (
-                slot.slot,
-                "true" if slot.signed_ordering else "false",
-                "true" if slot.amplification else "false",
-                _json_num(slot.ordering_margin),
-                _json_num(slot.amplification_margin),
-            )
-            for slot in self.slots
-        )
-        return '{"zbias": %s, "tie": %s, "slots": [%s]}' % (
-            "true" if self.zbias else "false",
-            "true" if self.tie else "false",
-            slots,
-        )
-
 
 def zbias_verdict(e: EstimateSet) -> ZbiasVerdict:
     """Judge amplification: per-slot orderings plus the strict whole-population call."""

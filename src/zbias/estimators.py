@@ -470,8 +470,11 @@ def covariate_average(
     per = [estimates(st.scenario, conditioning, allow_direct_effect) for st in active]
     f_bar = fsum(st.weight * e.treated_fraction for st, e in zip(active, per))
     if not 0.0 < f_bar < 1.0:
+        # Every stratum has 0 < Pr(A=1) < 1, but weights that sum to 1 only
+        # within VALIDATION_TOL can carry their average outside (0, 1).
         raise DegeneratePopulationError(
-            f"covariate family has Pr(A=1) = {f_bar!r}: every stratum is degenerate"
+            f"covariate family has Pr(A=1) = {f_bar!r}, outside (0, 1): "
+            f"its stratum weights sum to {fsum(st.weight for st in active)!r}"
         )
     w_treated = [st.weight * e.treated_fraction / f_bar for st, e in zip(active, per)]
     w_control = [

@@ -342,6 +342,13 @@ class Stratum:
     scenario: DiscreteScenario
 
     def __post_init__(self):
+        # A file writes the label as one word of its 'begin stratum' line.
+        label = self.label
+        if not isinstance(label, str) or label.split() != [label] or "#" in label:
+            raise InvariantViolation(
+                f"must be a nonempty string without whitespace or '#', got {label!r}",
+                field="stratum label",
+            )
         object.__setattr__(self, "weight", _as_float(self.weight, "weight"))
         if self.weight < 0.0:
             raise InvariantViolation("must be nonnegative", field=f"stratum {self.label} weight")

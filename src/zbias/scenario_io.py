@@ -187,7 +187,7 @@ def _table(cells, base: str, shape: tuple[int, ...], parse, note: str = ""):
                 parse(entry[0])
             except ValueError as exc:
                 raise ScenarioFormatError(f"{name}: {exc}", entry[1]) from None
-        raise
+        raise  # unreached: the walk meets the same fault. Without it, `flat` is unbound
     if stray:
         raise ScenarioFormatError(f"{base} index out of range", min(e[1] for e in stray.values()))
     for size in reversed(shape[1:]):

@@ -351,3 +351,63 @@ def test_lemma_zero_denominator_names_the_zero_factor(tmp_path, theorem, cells, 
         assert cp.returncode == 1
         assert cp.stdout == ""
         assert cp.stderr == f"error: {message}\n"
+
+
+def test_scatter_non_utf8_path_is_ascii_escaped_in_process(tmp_path, monkeypatch, capsys):
+    import os
+
+    from zbias.cli import main
+
+    monkeypatch.delenv("ZBIAS_THREADS", raising=False)
+    out = os.path.join(str(tmp_path), os.fsdecode(b"x\xff.csv"))
+    assert main(["scatter", "--draws", "5", "--seed", "3", "--out", out]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == '{"rows": 5, "out": %s}\n' % json.dumps(out)
+    assert captured.out.isascii()
+    assert os.path.exists(os.fsencode(out))
+
+
+# Two strata whose weights sum to 1 + 9e-10, inside the validation
+# tolerance, each with Pr(A=1) just below 1: the weighted Pr(A=1) is above 1.
+HEAVY_FAMILY_STRATUM = """\
+begin stratum {label} {weight}
+  z_support = 0
+  z_pmf = 1
+  u_support = 0
+  u_pmf = 1
+  treat[0][0] = 0.99999999999999956
+  mean[0][0][0] = 0.1
+  mean[1][0][0] = 0.2
+end stratum
+"""
+
+
+def test_average_names_a_family_treated_fraction_outside_the_unit_interval(tmp_path, capsys):
+    from zbias.cli import main
+
+    def family(weight):
+        path = tmp_path / f"family-{weight}.scn"
+        path.write_text("kind = covariate_family\n" + "".join(
+            HEAVY_FAMILY_STRATUM.format(label=label, weight=weight) for label in "ab"))
+        return str(path)
+
+    assert main(["average", family("0.50000000045")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: covariate family has Pr(A=1) = 1.0000000008999996, outside (0, 1): "
+        "its stratum weights sum to 1.0000000009\n"
+    )
+    assert main(["average", family("0.5")]) == 0
+    assert json.loads(capsys.readouterr().out)["f"] == 0.99999999999999956
+
+
+def test_python_m_zbias_runs_in_process(monkeypatch, capsys, case1_file):
+    import runpy
+
+    monkeypatch.setattr(sys, "argv", ["zbias", "eval", case1_file, "--table"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("zbias", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out.splitlines()[-1].split()[-1] == "YES"

@@ -13,6 +13,9 @@ from zbias import (
     InvariantViolation,
     PotentialOutcomeScenario,
     ScenarioFormatError,
+    Stratum,
+    ZbiasError,
+    check_cor4,
     parse_scenario,
     serialize_scenario,
     to_discrete,
@@ -285,6 +288,80 @@ def test_indexed_key_errors(old, new, message):
     assert str(info.value) == message
 
 
+# Lowest propensity 1e-12: setting it to 0 keeps Pr(A=1|pi) = pi within
+# tolerance and every treatment cell positive.
+TINY_PI_TEXT = """\
+kind = potential_outcomes
+pi_support = 1e-12, 0.5
+pi_pmf = 0.5, 0.5
+y_pairs = 0,0:0.25; 0,1:0.25; 1,0:0.25; 1,1:0.25
+treat[0][0] = 1e-12
+treat[0][1] = 1e-12
+treat[0][2] = 1e-12
+treat[0][3] = 1e-12
+treat[1][0] = 0.5
+treat[1][1] = 0.5
+treat[1][2] = 0.5
+treat[1][3] = 0.5
+"""
+
+
+@pytest.mark.parametrize(
+    "text, old, new, message",
+    [
+        (DISCRETE_TEXT, "z_support = 0, 1", "z_support =", "line 2: z_support: empty list"),
+        (FAMILY_TEXT, "begin stratum young 0.3", "begin stratum a",
+         "line 2: expected 'begin stratum <label> <weight>'"),
+        (FAMILY_TEXT, "begin stratum young 0.3", "begin stratum a -1",
+         "stratum a weight: must be nonnegative"),
+        (FAMILY_TEXT, "begin stratum young 0.3\n", "begin stratum young 0.3\n  kind = binary\n",
+         "line 3: stratum 'young': body must be discrete-kind"),
+        (PO_TEXT, "y_pairs = 0,0:0.4; 0,1:0.1; 1,0:0.1; 1,1:0.4", "y_pairs = ;",
+         "line 4: y_pairs: empty list"),
+        (FAMILY_TEXT, FAMILY_TEXT.partition("\n")[2], "",
+         "covariate_family requires at least one stratum block"),
+        (DISCRETE_TEXT, "law[0][0] = 0:0.99, 1:0.01", "law[0][0] = 0:0.99, 2:0.01",
+         "law[0][0]: binary outcome law must be supported on {0, 1}"),
+        (TINY_PI_TEXT, "pi_support = 1e-12, 0.5", "pi_support = 0, 0.5",
+         "multiplicative model needs pi > 0 at every level"),
+    ],
+    ids=["empty list", "stratum header", "stratum weight", "stratum kind", "empty y_pairs",
+         "no strata", "binary law", "cor4 pi"],
+)
+def test_file_errors_are_one_line(tmp_path, capsys, text, old, new, message):
+    # Each file runs through `check --theorem cor4`: parse errors come first.
+    assert old in text
+    text = text.replace(old, new)
+    with pytest.raises(ZbiasError) as info:
+        check_cor4(parse_scenario(text))
+    assert str(info.value) == message
+    path = tmp_path / "bad.scn"
+    path.write_text(text)
+    assert main(["check", str(path), "--theorem", "cor4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_table_reraises_a_fault_the_walk_does_not_meet():
+    # The file parsers are deterministic, so the walk always names the bad
+    # cell; a parse that fails only once gets its first error back instead
+    # of a table that was never built.
+    from zbias import scenario_io
+
+    calls = []
+
+    def fails_once(text):
+        calls.append(text)
+        if len(calls) == 1:
+            raise ValueError("first call")
+        return float(text)
+
+    with pytest.raises(ValueError, match="^first call$"):
+        scenario_io._table(({"t[0]": ("0.5", 3)}, {}), "t", (1,), fails_once)
+    assert calls == ["0.5", "0.5"]
+
+
 def test_indexed_key_error_order_follows_table_order():
     text = DISCRETE_TEXT.replace("mean[0][0][0] = 0.01", "mean[0][0] = 0.01")
     text = text.replace("treat[1][1] = 0.8", "treat[1] = 0.8")
@@ -367,3 +444,22 @@ def test_oversized_index_depth_and_leading_zeros():
         parse_scenario(DISCRETE_TEXT + f"treat[{NINES}] = 0.5\n")
     zeros = DISCRETE_TEXT.replace("treat[1][0] =", f"treat[{'0' * 5000}1][0] =")
     assert parse_scenario(zeros) == parse_scenario(DISCRETE_TEXT)
+
+
+@pytest.mark.parametrize("label", ["young", "a=b", "[0]", "\u00e9"])
+def test_stratum_labels_round_trip(label):
+    body = parse_scenario(FAMILY_TEXT).strata[0].scenario
+    family = CovariateFamily(strata=(Stratum(label, 1.0, body),))
+    assert parse_scenario(serialize_scenario(family)) == family
+
+
+@pytest.mark.parametrize("label", ["a b", "a#b", "", " a", "a\u2028b", 3])
+def test_labels_a_file_cannot_hold_are_rejected(label):
+    # serialize_scenario would write these so that parse_scenario rejects
+    # the file or reads a different label back.
+    body = parse_scenario(FAMILY_TEXT).strata[0].scenario
+    with pytest.raises(InvariantViolation) as info:
+        Stratum(label, 1.0, body)
+    assert str(info.value) == (
+        f"stratum label: must be a nonempty string without whitespace or '#', got {label!r}"
+    )
