@@ -119,19 +119,14 @@ def _build_parser() -> _Parser:
 
 
 def _load(path, kinds, command):
+    """The scenario at ``path``, which must be one of ``kinds``; a binary
+    scenario is widened by ``to_discrete`` where discrete ones are accepted."""
     scenario = load_scenario(path)
     if not isinstance(scenario, kinds):
         names = ", ".join(k.__name__ for k in kinds)
         raise ZbiasError(
             f"{command} needs a scenario of kind {names}, got {type(scenario).__name__}"
         )
-    return scenario
-
-
-def _load_widened(path, kinds, command):
-    """``_load``, with a binary scenario widened by ``to_discrete`` where
-    discrete scenarios are accepted."""
-    scenario = _load(path, kinds, command)
     if isinstance(scenario, BinaryScenario) and DiscreteScenario in kinds:
         scenario = to_discrete(scenario)
     return scenario
@@ -163,19 +158,19 @@ def _run_eval(args) -> int:
 
 def _run_check(args) -> int:
     kinds, checker = _THEOREMS[args.theorem]
-    scenario = _load_widened(args.scenario, kinds, f"check --theorem {args.theorem}")
+    scenario = _load(args.scenario, kinds, f"check --theorem {args.theorem}")
     print(conditions.reports_to_json(checker(scenario)))
     return 0
 
 
 def _run_dce(args) -> int:
-    scenario = _load_widened(args.scenario, _GRID, "dce")
+    scenario = _load(args.scenario, _GRID, "dce")
     print(dce(scenario, args.threshold, args.conditioning).to_json())
     return 0
 
 
 def _run_rr(args) -> int:
-    scenario = _load_widened(args.scenario, _GRID, "rr")
+    scenario = _load(args.scenario, _GRID, "rr")
     print(rr(scenario, args.conditioning).to_json())
     return 0
 

@@ -87,7 +87,8 @@ def reports_to_json(reports) -> str:
 
 
 def _report(condition_id: str, checks) -> ConditionReport:
-    """Build a report from (cell, lhs, rhs, slack) comparisons.
+    """Build a report from (cell, lhs, rhs, slack) comparisons, each made by
+    ``_at_least``, ``_at_most`` or ``_equal``.
 
     A comparison is violated when its slack drops below -1e-12; the margin
     is the minimal slack (infinite when there is nothing to compare, and
@@ -109,20 +110,30 @@ def _report(condition_id: str, checks) -> ConditionReport:
     return ConditionReport(condition_id, not witnesses, margin, witnesses)
 
 
+def _at_least(cell, lhs: float, rhs: float):
+    """The comparison lhs >= rhs, with slack lhs - rhs."""
+    return cell, lhs, rhs, lhs - rhs
+
+
+def _at_most(cell, lhs: float, rhs: float):
+    """The comparison lhs <= rhs, with slack rhs - lhs."""
+    return cell, lhs, rhs, rhs - lhs
+
+
+def _equal(cell, lhs: float, rhs: float):
+    """The comparison lhs == rhs, with slack -|lhs - rhs|."""
+    return cell, lhs, rhs, -abs(lhs - rhs)
+
+
 def _nondecreasing(values, labels, cell_fmt):
     """Comparisons requiring values to be weakly increasing along labels."""
     for (v0, v1), (l0, l1) in zip(zip(values, values[1:]), zip(labels, labels[1:])):
-        yield (cell_fmt, l0, l1), v1, v0, v1 - v0
+        yield _at_least((cell_fmt, l0, l1), v1, v0)
 
 
 def _nonincreasing(values, labels, cell_fmt):
     for (v0, v1), (l0, l1) in zip(zip(values, values[1:]), zip(labels, labels[1:])):
-        yield (cell_fmt, l0, l1), v0, v1, v0 - v1
-
-
-def _within_tol(label: str, residual: float):
-    """A model-fit residual compared against the validation tolerance."""
-    return label, residual, VALIDATION_TOL, VALIDATION_TOL - residual
+        yield _at_least((cell_fmt, l0, l1), v0, v1)
 
 
 def _treated_prob_by_u(s: DiscreteScenario) -> list[float]:
@@ -273,14 +284,14 @@ def _top_support_mass_checks(s: DiscreteScenario, pi):
                 )
             mass = num / den
             cell = f"Pr(U={s.u_support[top]!r}|A={arm},Z={s.z_support[i]!r})"
-            yield cell, mass, VALIDATION_TOL, mass - VALIDATION_TOL
+            yield _at_least(cell, mass, VALIDATION_TOL)
 
 
 def _treatment_model_reports(s: DiscreteScenario, dec, thm: str, fit: str, label: str):
     """The exact-fit, monotone-effect and top-mass reports shared by the
     additive (thm2) and multiplicative (thm3) models."""
     return [
-        _report(f"{thm}.{fit}", [_within_tol(label, dec.residual_max)]),
+        _report(f"{thm}.{fit}", [_at_most(label, dec.residual_max, VALIDATION_TOL)]),
         _report(f"{thm}.b", _monotone_effect_checks(s, dec)),
         _report(f"{thm}.c", _top_support_mass_checks(s, dec.z_effect)),
     ]
@@ -318,15 +329,14 @@ def _ratio_check(tag: str, p11: float, p10: float, p01: float, p00: float):
         p11, p10, p01, p00, prefix = 1 - p11, 1 - p10, 1 - p01, 1 - p00, "1-"
     num = p11 * p00
     if num == 0.0:
-        return f"{tag} ratio", 0.0, 1.0, 1.0
+        return _at_most(f"{tag} ratio", 0.0, 1.0)
     den = p10 * p01
     if den == 0.0:
         zeros = [prefix + name for name, value in (("p10", p10), ("p01", p01)) if value == 0.0]
         # Both factors can be positive and still underflow together.
         zero = zeros[0] if zeros else f"{prefix}p10*{prefix}p01"
         raise ZeroDenominatorError(f"{tag} ratio undefined: {zero} = 0")
-    ratio = num / den
-    return f"{tag} ratio", ratio, 1.0, 1.0 - ratio
+    return _at_most(f"{tag} ratio", num / den, 1.0)
 
 
 def check_weaker_condition(s: BinaryScenario) -> ConditionReport:
@@ -347,16 +357,14 @@ def _binary_model_reports(s: BinaryScenario, thm: str, fit: str, label: str, int
     gap = interaction(p11, p10, p01, p00)
     r = s.outcome_mean
     return [
-        _report(f"{thm}.{fit}", [(label, gap, 0.0, -abs(gap))]),
+        _report(f"{thm}.{fit}", [_equal(label, gap, 0.0)]),
         _report(f"{thm}.b", [
-            ("p11 >= p10", p11, p10, p11 - p10),
-            ("p11 >= p01", p11, p01, p11 - p01),
-            ("p10 >= p00", p10, p00, p10 - p00),
-            ("p01 >= p00", p01, p00, p01 - p00),
+            _at_least("p11 >= p10", p11, p10),
+            _at_least("p11 >= p01", p11, p01),
+            _at_least("p10 >= p00", p10, p00),
+            _at_least("p01 >= p00", p01, p00),
         ]),
-        _report(f"{thm}.c", [
-            (f"r{a}1 >= r{a}0", r[a][1], r[a][0], r[a][1] - r[a][0]) for a in (0, 1)
-        ]),
+        _report(f"{thm}.c", [_at_least(f"r{a}1 >= r{a}0", r[a][1], r[a][0]) for a in (0, 1)]),
     ]
 
 
@@ -422,15 +430,8 @@ def check_collider_association(s: DiscreteScenario, arm: int) -> list[ConditionR
         for j in range(s.n_u):
             base = cdfs[0][j]
             for pos, i in enumerate(used):
-                gap = cdfs[pos][j] - base
-                checks.append(
-                    (
-                        f"F(u={s.u_support[j]!r}|A=1,Z={s.z_support[i]!r})",
-                        cdfs[pos][j],
-                        base,
-                        -abs(gap),
-                    )
-                )
+                checks.append(_equal(f"F(u={s.u_support[j]!r}|A=1,Z={s.z_support[i]!r})",
+                                     cdfs[pos][j], base))
         reports.append(_report("collider.a1.indep", checks))
     return reports
 
@@ -474,7 +475,7 @@ def check_lemma_s7(p11: float, p10: float, p01: float, p00: float) -> ConditionR
     contrast = p11 - p10 - p01 + p00
     return _report(
         "lemma_s7",
-        [("p11 - p10 - p01 + p00", contrast, 0.0, contrast),
+        [_at_least("p11 - p10 - p01 + p00", contrast, 0.0),
          _ratio_check("absence", p11, p10, p01, p00)],
     )
 
@@ -516,7 +517,7 @@ def check_thm4(s: PotentialOutcomeScenario) -> list[ConditionReport]:
                     f"E(Y|A={arm}, pi={pi!r}) undefined: empty arm"
                 )
         cov = _pi_covariance(levels)
-        checks.append((f"cov(pi, E(Y|A={arm},pi))", -cov, 0.0, -cov))
+        checks.append(_at_least(f"cov(pi, E(Y|A={arm},pi))", -cov, 0.0))
     b = _report("thm4.b", checks)
     return [a, b]
 
@@ -599,10 +600,15 @@ def fit_cor4_model(s: PotentialOutcomeScenario) -> Cor4Model:
                 )
     if any(pi <= 0.0 for pi in s.pi_support):
         raise NonpositiveCellError("multiplicative model needs pi > 0 at every level")
-    return _fit_selection(
-        s, index, Cor4Model,
-        lambda pi, t11, t10, t01, t00: (t00 / pi, t10 / t00, t01 / t00, t11 * t00 / (t10 * t01)),
-    )
+
+    def coefficients(pi, t11, t10, t01, t00):
+        den = t10 * t01
+        if den == 0.0:
+            # Both cells are positive, but their product can underflow.
+            raise ZeroDenominatorError(f"theta undefined at pi = {pi!r}: t10*t01 = 0")
+        return t00 / pi, t10 / t00, t01 / t00, t11 * t00 / den
+
+    return _fit_selection(s, index, Cor4Model, coefficients)
 
 
 def outcome_odds_ratio(s: PotentialOutcomeScenario) -> float:
@@ -619,20 +625,16 @@ def outcome_odds_ratio(s: PotentialOutcomeScenario) -> float:
 
 def _odds_ratio_checks(s: PotentialOutcomeScenario):
     ratio = outcome_odds_ratio(s)
-    if math.isnan(ratio):
-        # Degenerate joint: association is vacuous.
-        return [("outcome odds ratio", 1.0, 1.0, 0.0)]
-    if math.isinf(ratio):
-        return [("outcome odds ratio", ratio, 1.0, math.inf)]
-    return [("outcome odds ratio", ratio, 1.0, ratio - 1.0)]
+    # A degenerate joint (NaN) makes the association vacuous.
+    return [_at_least("outcome odds ratio", 1.0 if math.isnan(ratio) else ratio, 1.0)]
 
 
 def _coefficient_checks(model: _SelectionModel, floor: float):
     """Coefficients constant across pi, and delta and eta at least ``floor``."""
     return [
-        _within_tol("coefficient spread across pi", model.residual_max),
-        ("delta", model.delta, floor, model.delta - floor),
-        ("eta", model.eta, floor, model.eta - floor),
+        _at_most("coefficient spread across pi", model.residual_max, VALIDATION_TOL),
+        _at_least("delta", model.delta, floor),
+        _at_least("eta", model.eta, floor),
     ]
 
 
@@ -640,7 +642,7 @@ def _selection_model_reports(s: PotentialOutcomeScenario, model: _SelectionModel
                              fit: str, floor: float):
     """The coefficient and outcome-association reports shared by the
     additive (cor3) and multiplicative (cor4) selection models."""
-    theta = ("theta", model.theta, floor, model.theta - floor)
+    theta = _at_least("theta", model.theta, floor)
     return [
         _report(f"{thm}.{fit}", [*_coefficient_checks(model, floor), theta]),
         _report(f"{thm}.b", _odds_ratio_checks(s)),
@@ -688,12 +690,7 @@ def check_thm5_binary(s: PotentialOutcomeScenario) -> list[ConditionReport]:
             sups.append((value, 1.0 if top_mass > 0.0 else 0.0))
         for (v0, s0), (v1, s1) in zip(sups, sups[1:]):
             checks.append(
-                (
-                    f"esssup Y({other_arm}) | Y({given_arm}): {v0} vs {v1}",
-                    s1,
-                    s0,
-                    -abs(s1 - s0),
-                )
+                _equal(f"esssup Y({other_arm}) | Y({given_arm}): {v0} vs {v1}", s1, s0)
             )
     c = _report("thm5b.c", checks)
     return [a, b, c]

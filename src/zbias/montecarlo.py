@@ -22,7 +22,7 @@ import stat
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import sqrt
 from numbers import Integral
 
@@ -73,18 +73,18 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McResult:
+    """A volume estimate; ``stderr`` is its binomial standard error, derived
+    from ``volume`` and ``draws``."""
+
     volume: float
-    stderr: float
+    stderr: float = field(init=False)
     draws: int
     seed: int
     tie_count: int
 
     def __post_init__(self):
-        expected = sqrt(self.volume * (1.0 - self.volume) / self.draws)
-        if abs(self.stderr - expected) > IDENTITY_TOL:
-            raise InvariantViolation(
-                "stderr inconsistent with volume and draws", field="stderr"
-            )
+        stderr = sqrt(self.volume * (1.0 - self.volume) / self.draws)
+        object.__setattr__(self, "stderr", stderr)
 
     def to_json(self) -> str:
         return (
@@ -244,12 +244,6 @@ def _chunk_draws(cfg: McConfig, start: int, count: int) -> tuple[np.ndarray, lis
     return rows, redraws
 
 
-def _chunk_params(cfg: McConfig, start: int, count: int) -> np.ndarray:
-    rows, redraws = _chunk_draws(cfg, start, count)
-    _log_redraws(cfg.seed, redraws)
-    return rows
-
-
 def population_biases(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(adjusted - true, unadjusted - true) for rows of scenario parameters.
 
@@ -368,16 +362,6 @@ def _classify(bias_adj: np.ndarray, bias_unadj: np.ndarray):
     return amplified, tie
 
 
-def _requested_threads(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get("ZBIAS_THREADS", "0")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise InvariantViolation("must be an integer", field="ZBIAS_THREADS") from None
-    return threads
-
-
 def _thread_count(value: int, chunks: int, cpus: int | None) -> int:
     """Worker threads for a run: the requested ``value`` clamped to the
     chunk count and the CPU count (``os.cpu_count()``, None if unknown);
@@ -385,8 +369,13 @@ def _thread_count(value: int, chunks: int, cpus: int | None) -> int:
     return max(1, min(value, chunks, cpus or 1))
 
 
-def _workers(threads: int | None, draws: int) -> int:
-    return _thread_count(_requested_threads(threads), -(-draws // _CHUNK), os.cpu_count())
+def _workers(draws: int) -> int:
+    """Workers for ``draws``: ZBIAS_THREADS (unset means 0), clamped."""
+    try:
+        requested = int(os.environ.get("ZBIAS_THREADS", "0"))
+    except ValueError:
+        raise InvariantViolation("must be an integer", field="ZBIAS_THREADS") from None
+    return _thread_count(requested, -(-draws // _CHUNK), os.cpu_count())
 
 
 def _in_order(work, cfg: McConfig, workers: int, make_pool):
@@ -422,24 +411,18 @@ def _volume_block(cfg: McConfig, chunk: tuple[int, int]) -> tuple[int, int, list
     return int(amplified.sum()), int(tie.sum()), redraws
 
 
-def estimate_volume(cfg: McConfig, threads: int | None = None) -> McResult:
+def estimate_volume(cfg: McConfig) -> McResult:
     """Estimated volume of the amplification region with its binomial
-    standard error; exact ties are excluded from the count and reported."""
+    standard error; exact ties are excluded from the count and reported.
+    ZBIAS_THREADS sets the worker threads (see ``_thread_count``)."""
     count = ties = 0
-    blocks = _in_order(_volume_block, cfg, _workers(threads, cfg.draws), ThreadPoolExecutor)
+    blocks = _in_order(_volume_block, cfg, _workers(cfg.draws), ThreadPoolExecutor)
     with closing(blocks):
         for block_count, block_ties, redraws in blocks:
             _log_redraws(cfg.seed, redraws)
             count += block_count
             ties += block_ties
-    volume = count / cfg.draws
-    return McResult(
-        volume=volume,
-        stderr=sqrt(volume * (1.0 - volume) / cfg.draws),
-        draws=cfg.draws,
-        seed=cfg.seed,
-        tie_count=ties,
-    )
+    return McResult(volume=count / cfg.draws, draws=cfg.draws, seed=cfg.seed, tie_count=ties)
 
 
 def _scatter_block(cfg: McConfig, chunk: tuple[int, int]) -> tuple[bytes, list[int]]:
@@ -524,16 +507,16 @@ def _replacing(path):
         raise
 
 
-def export_scatter(cfg: McConfig, path, threads: int | None = None) -> int:
+def export_scatter(cfg: McConfig, path) -> int:
     """Write one CSV row per draw: the ten parameters, both biases, and the
     amplification flag.  Returns the data row count.
 
     Chunks are streamed to ``path`` in draw order, and the file appears
-    only once every row is written.  With more than one worker (see
-    ``_thread_count``) the rows are formatted in worker processes; the bytes
-    do not depend on the worker count.
+    only once every row is written.  With more than one worker (ZBIAS_THREADS,
+    see ``_thread_count``) the rows are formatted in worker processes; the
+    bytes do not depend on the worker count.
     """
-    blocks = _in_order(_scatter_block, cfg, _workers(threads, cfg.draws), _process_pool)
+    blocks = _in_order(_scatter_block, cfg, _workers(cfg.draws), _process_pool)
     with _replacing(path) as handle, closing(blocks):
         handle.write(SCATTER_HEADER.encode("ascii") + b"\n")
         for block, redraws in blocks:

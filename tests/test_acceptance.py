@@ -39,7 +39,7 @@ from zbias import (
     zbias_verdict,
 )
 from zbias.cli import main as cli_main
-from zbias.montecarlo import _chunk_params, _params_matrix
+from zbias.montecarlo import _chunk_draws, _params_matrix
 
 SLOTS = ("true_treated", "true_control", "true_all", "unadj",
          "adj_treated", "adj_control", "adj_all")
@@ -165,9 +165,9 @@ def test_criterion_5_interaction_free_sweeps():
     violations = 0
     lemma_failures = 0
     for seed, flavor in ((1111, "cor1"), (2222, "cor2")):
-        rows = _chunk_params(
+        rows = _chunk_draws(
             McConfig(draws=10_000, seed=seed, filter=(flavor,)), 0, 10_000
-        )
+        )[0]
         for row in rows:
             s = binary_from_params(*row)
             checks = check_cor1(s) if flavor == "cor1" else check_cor2(s)

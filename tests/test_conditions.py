@@ -620,6 +620,25 @@ def test_ratio_denominator_underflow_is_a_zero_denominator():
         check_weaker_condition(s)
 
 
+# Every treatment cell is positive, but at pi = 1e-300 the cor4 theta
+# denominator t10 * t01 = 1e-600 underflows to 0.
+COR4_UNDERFLOW_TEXT = """\
+kind = potential_outcomes
+pi_support = 1e-300, 0.5
+pi_pmf = 0.5, 0.5
+y_pairs = 0,0:0.25; 0,1:0.25; 1,0:0.25; 1,1:0.25
+""" + "".join(f"treat[{k}][{j}] = {t}\n" for k, t in ((0, "1e-300"), (1, "0.5")) for j in range(4))
+
+
+def test_cor4_denominator_underflow_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "cor4.scn"
+    path.write_text(COR4_UNDERFLOW_TEXT)
+    assert main(["check", str(path), "--theorem", "cor4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: theta undefined at pi = 1e-300: t10*t01 = 0\n"
+
+
 # Outcome means of +-1.7e308 across u: every slack across u overflows to
 # -inf, which strict JSON cannot spell.
 OVERFLOW_TEXT = """\

@@ -31,7 +31,7 @@ from zbias import (
 from zbias import montecarlo
 from zbias.cli import main
 from zbias.montecarlo import (
-    _chunk_params,
+    _chunk_draws,
     _params_matrix,
     _project_cor1,
     _project_cor2,
@@ -109,10 +109,12 @@ def test_single_draw_volume_is_zero_or_one():
     assert res.stderr == 0.0
 
 
-def test_volume_reproducible_and_thread_invariant():
+def test_volume_reproducible_and_thread_invariant(monkeypatch):
     cfg = McConfig(draws=50_000, seed=31415)
-    sequential = estimate_volume(cfg, threads=1)
-    threaded = estimate_volume(cfg, threads=4)
+    monkeypatch.setenv("ZBIAS_THREADS", "1")
+    sequential = estimate_volume(cfg)
+    monkeypatch.setenv("ZBIAS_THREADS", "4")
+    threaded = estimate_volume(cfg)
     assert sequential == threaded
 
 
@@ -143,8 +145,11 @@ def test_disjoint_seeds_agree_within_pooled_error():
     assert abs(a.volume - b.volume) < 6 * pooled
 
 
-def test_mcresult_validates_stderr():
-    with pytest.raises(InvariantViolation, match="stderr"):
+def test_mcresult_derives_stderr():
+    res = McResult(volume=0.5, draws=100, seed=0, tie_count=0)
+    assert res.stderr == math.sqrt(0.5 * (1.0 - 0.5) / 100) == 0.05
+    assert res == McResult(0.5, 100, 0, 0)
+    with pytest.raises(TypeError, match="stderr"):
         McResult(volume=0.5, stderr=0.5, draws=100, seed=0, tie_count=0)
 
 
@@ -190,7 +195,7 @@ def test_population_biases_match_estimators_module():
 
 def test_cor1_filter_draws_satisfy_conditions_and_always_amplify():
     cfg = McConfig(draws=2_000, seed=404, filter=("cor1",))
-    rows = _chunk_params(cfg, 0, 2_000)
+    rows = _chunk_draws(cfg, 0, 2_000)[0]
     for row in rows[:200]:
         s = binary_from_params(*row)
         assert all(r.holds for r in check_cor1(s))
@@ -203,7 +208,7 @@ def test_cor1_filter_draws_satisfy_conditions_and_always_amplify():
 
 def test_cor2_filter_draws_satisfy_conditions_and_always_amplify():
     cfg = McConfig(draws=2_000, seed=405, filter=("cor2",))
-    rows = _chunk_params(cfg, 0, 2_000)
+    rows = _chunk_draws(cfg, 0, 2_000)[0]
     for row in rows[:200]:
         s = binary_from_params(*row)
         assert all(r.holds for r in check_cor2(s))
@@ -235,12 +240,13 @@ def test_scatter_layout_and_agreement_with_volume(tmp_path):
     assert res.volume == sum(flags) / 100
 
 
-def test_scatter_is_deterministic(tmp_path):
+def test_scatter_is_deterministic(tmp_path, monkeypatch):
     cfg = McConfig(draws=200, seed=9)
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
     export_scatter(cfg, first)
-    export_scatter(cfg, second, threads=3)
+    monkeypatch.setenv("ZBIAS_THREADS", "3")
+    export_scatter(cfg, second)
     assert first.read_bytes() == second.read_bytes()
     assert b"\r" not in first.read_bytes()
 
@@ -450,7 +456,7 @@ GOLDEN_PROJECTED_SHA256 = {
 @pytest.mark.parametrize("name,seed,start,count", sorted(GOLDEN_PROJECTED_SHA256))
 def test_projected_rows_are_golden(name, seed, start, count):
     cfg = McConfig(draws=start + count, seed=seed, filter=(name,))
-    rows = _chunk_params(cfg, start, count)
+    rows = _chunk_draws(cfg, start, count)[0]
     digest = hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest()
     assert digest == GOLDEN_PROJECTED_SHA256[(name, seed, start, count)]
 
@@ -505,7 +511,7 @@ def test_population_biases_bits_match_reference(seed, count):
 @pytest.mark.parametrize("name", ["cor1", "cor2"])
 def test_population_biases_bits_match_reference_on_projected_rows(name):
     cfg = McConfig(draws=2 * 32768, seed=2**63 + 5, filter=(name,))
-    _assert_same_bits(_chunk_params(cfg, 32768, 20000))
+    _assert_same_bits(_chunk_draws(cfg, 32768, 20000)[0])
 
 
 def test_population_biases_bits_match_reference_on_any_layout():
@@ -760,11 +766,12 @@ def test_redraws_are_logged_in_draw_order_whatever_the_workers(tmp_path, monkeyp
     for threads in ("1", "2"):
         caplog.clear()
         path = tmp_path / f"t{threads}.csv"
+        monkeypatch.setenv("ZBIAS_THREADS", threads)
         with caplog.at_level("WARNING", logger="zbias.montecarlo"):
-            export_scatter(cfg, path, threads=int(threads))
+            export_scatter(cfg, path)
             assert [r.getMessage() for r in caplog.records] == expected
             caplog.clear()
-            outputs[threads] = estimate_volume(cfg, threads=int(threads))
+            outputs[threads] = estimate_volume(cfg)
             assert [r.getMessage() for r in caplog.records] == expected
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
     assert outputs["1"] == outputs["2"]
@@ -795,10 +802,12 @@ def test_scatter_window_bounds_chunks_in_flight(tmp_path, monkeypatch):
     monkeypatch.setattr(process.ProcessPoolExecutor, "submit", submit)
     monkeypatch.setattr(montecarlo, "_log_redraws", log_redraws)
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
-    export_scatter(McConfig(draws=draws, seed=seed), one, threads=1)
+    monkeypatch.setenv("ZBIAS_THREADS", "1")
+    export_scatter(McConfig(draws=draws, seed=seed), one)
     assert (submitted[0], consumed[0]) == (0, 8)
     consumed[0] = 0
-    export_scatter(McConfig(draws=draws, seed=seed), two, threads=2)
+    monkeypatch.setenv("ZBIAS_THREADS", "2")
+    export_scatter(McConfig(draws=draws, seed=seed), two)
     assert submitted[0] == consumed[0] == 8
     assert max(in_flight) == 3
     assert one.read_bytes() == golden.read_bytes()
@@ -807,11 +816,12 @@ def test_scatter_window_bounds_chunks_in_flight(tmp_path, monkeypatch):
 
 def test_sequential_scatter_memory_is_flat_in_the_chunk_count(tmp_path, monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK", 256)
+    monkeypatch.setenv("ZBIAS_THREADS", "1")
 
     def peak(chunks):
         tracemalloc.start()
         try:
-            export_scatter(McConfig(draws=256 * chunks, seed=9), tmp_path / "m.csv", threads=1)
+            export_scatter(McConfig(draws=256 * chunks, seed=9), tmp_path / "m.csv")
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -819,16 +829,17 @@ def test_sequential_scatter_memory_is_flat_in_the_chunk_count(tmp_path, monkeypa
     assert peak(64) < 1.5 * peak(4)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", ["1", "2"])
 def test_volume_memory_is_flat_in_the_chunk_count(monkeypatch, threads):
     monkeypatch.setattr(montecarlo, "_CHUNK", 64)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-    estimate_volume(McConfig(draws=64, seed=9), threads=threads)  # first-call allocations
+    monkeypatch.setenv("ZBIAS_THREADS", threads)
+    estimate_volume(McConfig(draws=64, seed=9))  # first-call allocations
 
     def peak(chunks):
         tracemalloc.start()
         try:
-            estimate_volume(McConfig(draws=64 * chunks, seed=9), threads=threads)
+            estimate_volume(McConfig(draws=64 * chunks, seed=9))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -55,9 +55,9 @@ PUBLIC_SIGNATURES = {
     "covariate_average": ["family", "conditioning", "allow_direct_effect"],
     "dce": ["s", "threshold", "conditioning"],
     "draw_scenario": ["stream"],
-    "estimate_volume": ["cfg", "threads"],
+    "estimate_volume": ["cfg"],
     "estimates": ["scenario", "conditioning", "allow_direct_effect"],
-    "export_scatter": ["cfg", "path", "threads"],
+    "export_scatter": ["cfg", "path"],
     "fit_additive": ["s"],
     "fit_cor3_model": ["s"],
     "fit_cor4_model": ["s"],
