@@ -40,6 +40,7 @@ SCATTER_HEADER = "pZ,pU,p11,p10,p01,p00,r11,r10,r01,r00,bias_adj,bias_unadj,zbia
 _CHUNK = 1 << 15
 _BLOCK = 1 << 13
 _FILTERS = (("cor1",), ("cor2",))
+_FETCH_WIDTH = 2048
 
 
 @dataclass(frozen=True)
@@ -167,29 +168,33 @@ def _params_matrix(seed: int, start: int, count: int) -> np.ndarray:
 def _project_cor1(rows: np.ndarray, seed: int, start: int) -> None:
     """Interaction-free monotone tables on the additive scale.
 
-    The three free treatment cells are sorted into (p00, p10, p01) =
+    The three free treatment cells are ordered into (p00, p10, p01) =
     (min, mid, max), then p11 = p10 + p01 - p00; triples pushing p11 above 1
-    are resampled from the draw's retry region.  The sort fixes p01 >= p10,
+    are resampled from the draw's retry region.  The ordering fixes p01 >= p10,
     so only the half of the cor1 region with p01 >= p10 is sampled.  Outcome
     means are swapped into the monotone order within each arm.
 
-    Rejection runs in rounds over the whole chunk: round k fetches retry
-    attempt k for every draw still rejected, in one vectorised call.
+    Rejection runs in rounds over the whole chunk.  A round fetches retry
+    attempts [k, k + m) of every draw still rejected in one vectorised call,
+    m = ceil(``_FETCH_WIDTH`` / draws pending).  Each draw keeps its first
+    accepted attempt (a draw with none holds attempt k until a later round),
+    so m never shows in the output.
     """
-    triples = np.sort(rows[:, 3:6], axis=1)
-    p11 = triples[:, 1] + triples[:, 2] - triples[:, 0]
+    p00, p10, p01 = _ordered(rows[:, 3:6])
+    p11 = p10 + p01 - p00
     pending = np.nonzero(p11 > 1.0)[0]
     attempt = 0
     while pending.size:
-        fresh = np.sort(_fresh_triples(seed, start + pending, attempt), axis=1)
-        triples[pending] = fresh
-        p11[pending] = fresh[:, 1] + fresh[:, 2] - fresh[:, 0]
-        pending = pending[p11[pending] > 1.0]
-        attempt += 1
-    rows[:, 2] = p11
-    rows[:, 3] = triples[:, 1]
-    rows[:, 4] = triples[:, 2]
-    rows[:, 5] = triples[:, 0]
+        width = -(-_FETCH_WIDTH // pending.size)
+        lo, mid, hi = _ordered(_fresh_triples(seed, start + pending, attempt, width))
+        q11 = mid + hi - lo
+        accepted = (q11 <= 1.0).reshape(pending.size, width)
+        first = np.arange(pending.size) * width + accepted.argmax(axis=1)
+        p00[pending], p10[pending], p01[pending], p11[pending] = (
+            lo[first], mid[first], hi[first], q11[first])
+        pending = pending[~accepted.any(axis=1)]
+        attempt += width
+    rows[:, 2], rows[:, 3], rows[:, 4], rows[:, 5] = p11, p10, p01, p00
     _sort_outcome_means(rows)
 
 
@@ -212,10 +217,12 @@ def _project_cor2(rows: np.ndarray, seed: int, start: int) -> None:
     _sort_outcome_means(rows)
 
 
-def _fresh_triples(seed: int, indices: np.ndarray, attempt: int) -> np.ndarray:
-    # Projection retries live after the degeneracy retries in the draw's
-    # retry region; skip exact zeros like the primary stream does.
-    base = np.full(indices.size, 1_000 + attempt, dtype=np.int64)
+def _fresh_triples(seed: int, indices: np.ndarray, attempt: int, width: int) -> np.ndarray:
+    # Attempts [attempt, attempt + width) of each draw, draw-major.  Projection
+    # retries live after the degeneracy retries in the draw's retry region;
+    # each attempt skips exact zeros like the primary stream does.
+    indices = np.repeat(indices, width)
+    base = np.tile(np.arange(1_000 + attempt, 1_000 + attempt + width), indices.size // width)
     triples = retry_block_uniforms(seed, indices, base)[:, :3]
     zero = np.nonzero((triples == 0.0).any(axis=1))[0]
     while zero.size:
@@ -225,11 +232,19 @@ def _fresh_triples(seed: int, indices: np.ndarray, attempt: int) -> np.ndarray:
     return triples
 
 
+def _ordered(triples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Per-row (min, mid, max) by selection: np.sort's bits (no NaN or -0.0 gets here).
+    a, b, c = triples.T
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    return np.minimum(low, c), np.maximum(low, np.minimum(high, c)), np.maximum(high, c)
+
+
 def _sort_outcome_means(rows: np.ndarray) -> None:
     # Columns: r11, r10, r01, r00.  Monotone in u means r_a1 >= r_a0.
     for high, low in ((6, 7), (8, 9)):
-        swap = np.nonzero(rows[:, high] < rows[:, low])[0]
-        rows[swap, high], rows[swap, low] = rows[swap, low], rows[swap, high]
+        top = rows[:, high].copy()
+        np.maximum(top, rows[:, low], out=rows[:, high])
+        np.minimum(top, rows[:, low], out=rows[:, low])
 
 
 def _chunk_draws(cfg: McConfig, start: int, count: int) -> tuple[np.ndarray, list[int]]:

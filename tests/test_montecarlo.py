@@ -13,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import binary_from_params
 from zbias import (
@@ -407,6 +409,104 @@ def test_cor1_projection_skips_exact_zero_retries(monkeypatch):
     assert not np.array_equal(rows[[once, twice]], unpatched[[once, twice]])
 
 
+@pytest.mark.parametrize("width", [1, 7, 4096])
+@pytest.mark.parametrize("seed,start", PROJECTION_CASES)
+def test_cor1_projection_bytes_do_not_depend_on_fetch_width(monkeypatch, seed, start, width):
+    monkeypatch.setattr(montecarlo, "_FETCH_WIDTH", width)
+    rows = _params_matrix(seed, start, 600)
+    expected = rows.copy()
+    _reference_cor1(expected, seed, start)
+    _project_cor1(rows, seed, start)
+    assert rows.tobytes() == expected.tobytes()
+
+
+REJECTED_TRIPLE = (0.1, 0.95, 0.9)  # p11 = 0.9 + 0.95 - 0.1 > 1
+ZERO_TRIPLE = (0.0, 0.25, 0.5)  # accepted, were its zero not skipped
+
+
+def _forced_projection(monkeypatch, forced, seed=8, start=0, count=400):
+    """Rows projected with the retry triples of the (draw, attempt) pairs in
+    ``forced`` replaced, their per-row reference, and the pairs each fetch
+    call asked for."""
+    real = montecarlo.retry_block_uniforms
+    calls = []
+
+    def patched(seed_, indices, attempts, blocks=1):
+        out = real(seed_, indices, attempts, blocks)
+        pairs = list(zip(np.asarray(indices).tolist(), np.asarray(attempts).tolist()))
+        calls.append(pairs)
+        for k, pair in enumerate(pairs):
+            if pair in forced:
+                out[k, :3] = forced[pair]
+        return out
+
+    def reference_retry(seed_, index, attempt):
+        out = _reference_retry(seed_, index, attempt)
+        if (index, attempt) in forced:
+            out[:3] = forced[(index, attempt)]
+        return out
+
+    rows = _params_matrix(seed, start, count)
+    expected = rows.copy()
+    _reference_cor1(expected, seed, start, retry=reference_retry)
+    monkeypatch.setattr(montecarlo, "retry_block_uniforms", patched)
+    _project_cor1(rows, seed, start)
+    return rows, expected, calls
+
+
+def _first_rejected(seed=8, start=0, count=400):
+    p00, p10, p01 = np.sort(_params_matrix(seed, start, count)[:, 3:6], axis=1).T
+    return int(np.nonzero(p10 + p01 - p00 > 1.0)[0][0])
+
+
+def test_cor1_rejection_run_spans_fetch_windows(monkeypatch):
+    draw = _first_rejected()
+    forced = {(draw, 1_000 + a): REJECTED_TRIPLE for a in range(40)}
+    rows, expected, calls = _forced_projection(monkeypatch, forced)
+    assert rows.tobytes() == expected.tobytes()
+    # The forced run crosses at least one window boundary.
+    windows = [c for c in calls if any(pair in forced for pair in c)]
+    assert len(windows) >= 2
+
+
+def test_cor1_exact_zero_inside_a_fetch_window(monkeypatch):
+    draw = _first_rejected()
+    forced = {(draw, 1_000 + a): REJECTED_TRIPLE for a in range(3)}
+    forced[(draw, 1_003)] = forced[(draw, 1_001_003)] = ZERO_TRIPLE
+    rows, expected, calls = _forced_projection(monkeypatch, forced)
+    assert rows.tobytes() == expected.tobytes()
+    assert rows[draw, 5] != 0.0
+    # Attempt 3 is fetched between its neighbours, then skipped twice.
+    (window,) = [c for c in calls if (draw, 1_003) in c]
+    assert (draw, 1_002) in window and (draw, 1_004) in window
+    assert any((draw, 2_001_003) in c for c in calls)
+
+
+# Few distinct values, so that ties and repeats are common.
+tied_cells = st.one_of(st.sampled_from([5e-324, 0.25, 0.5, 0.75, 1.0]),
+                       st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(tied_cells, min_size=3, max_size=3), min_size=1, max_size=40))
+def test_triple_ordering_is_np_sort_bit_for_bit(triples):
+    triples = np.array(triples)
+    ordered = np.stack(montecarlo._ordered(triples), axis=1)
+    assert ordered.tobytes() == np.sort(triples, axis=1).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(tied_cells, min_size=10, max_size=10), min_size=1, max_size=40))
+def test_outcome_mean_sort_matches_per_row_reference(params):
+    rows = np.zeros((len(params), 16))[:, :10]  # the strided layout of a chunk
+    rows[:] = params
+    expected = np.array(params)
+    for row in expected:
+        _reference_sort_outcome_means(row)
+    montecarlo._sort_outcome_means(rows)
+    assert np.ascontiguousarray(rows).tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Filtered output pinned to the bytes of the per-row implementation
 
@@ -435,6 +535,19 @@ GOLDEN_FILTERED_STDOUT = {
 
 @pytest.mark.parametrize("name,seed,draws", sorted(GOLDEN_FILTERED_STDOUT))
 def test_filtered_mc_stdout_is_golden(name, seed, draws):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["mc", "--draws", str(draws), "--seed", str(seed), "--filter", name]) == 0
+    assert out.getvalue() == GOLDEN_FILTERED_STDOUT[(name, seed, draws)] + "\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name,seed,draws",
+                         [key for key in sorted(GOLDEN_FILTERED_STDOUT) if key[2] > 256])
+def test_filtered_mc_stdout_does_not_depend_on_chunks_or_threads(
+        monkeypatch, name, seed, draws, threads):
+    monkeypatch.setattr(montecarlo, "_CHUNK", 256)
+    monkeypatch.setenv("ZBIAS_THREADS", threads)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["mc", "--draws", str(draws), "--seed", str(seed), "--filter", name]) == 0
