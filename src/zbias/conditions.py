@@ -29,8 +29,10 @@ from .scenario import (
     BinaryScenario,
     DiscreteScenario,
     PotentialOutcomeScenario,
+    _binary_params,
     _propensity_values,
     _total,
+    _treated_fraction,
 )
 
 
@@ -138,9 +140,7 @@ def _nonincreasing(values, labels, cell_fmt):
 
 def _treated_prob_by_u(s: DiscreteScenario) -> list[float]:
     # Pr(A=1 | U=u), using Z independent of U.
-    return [
-        fsum(s.z_pmf[i] * s.treat[i][j] for i in range(s.n_z)) for j in range(s.n_u)
-    ]
+    return [_treated_fraction(s.z_pmf, column) for column in zip(*s.treat)]
 
 
 def _outcome_mean_by_u(s: DiscreteScenario, arm: int) -> list[float]:
@@ -228,7 +228,7 @@ def _fit_treatment(s: DiscreteScenario, cls, split, residual):
     ``split(Pr(A=1|U=u), Pr(A=1))``; ``residual(t, pi, g)`` is one cell's
     signed misfit."""
     pi = _propensity_values(s)
-    f = fsum(s.z_pmf[i] * pi[i] for i in range(s.n_z))
+    f = _treated_fraction(s.z_pmf, pi)
     gamma = [split(p, f) for p in _treated_prob_by_u(s)]
     worst = max(
         abs(residual(s.treat[i][j], pi[i], gamma[j]))
@@ -314,7 +314,7 @@ def check_thm3(s: DiscreteScenario) -> list[ConditionReport]:
 
 def _binary_cells(s: BinaryScenario) -> tuple[float, float, float, float]:
     # (p11, p10, p01, p00) with z as the first index.
-    return s.treat[1][1], s.treat[1][0], s.treat[0][1], s.treat[0][0]
+    return _binary_params(s)[2:6]
 
 
 def _ratio_check(tag: str, p11: float, p10: float, p01: float, p00: float):
@@ -557,11 +557,7 @@ def _binary_pair_index(s: PotentialOutcomeScenario) -> dict[tuple[float, float],
             f"potential outcomes must take values in {{0, 1}}, got {sorted(values)}"
         )
     index = {pair: j for j, pair in enumerate(s.y_pairs)}
-    missing = [
-        pair
-        for pair in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
-        if pair not in index
-    ]
+    missing = [pair for pair in sorted(_PAIRS) if pair not in index]
     if missing:
         raise NonBinaryOutcomeError(
             f"binary selection model needs all four outcome pairs declared; "
@@ -671,27 +667,17 @@ def check_thm5_binary(s: PotentialOutcomeScenario) -> list[ConditionReport]:
     a = _report("thm5b.a", [*_coefficient_checks(model, 0.0), no_interaction])
     b = _report("thm5b.b", _odds_ratio_checks(s))
     index = _binary_pair_index(s)
+    m11, m10, m01, m00 = (s.pair_pmf[index[pair]] for pair in _PAIRS)
     checks = []
-    for given_arm, other_arm in ((1, 0), (0, 1)):
-        sups = []
-        for value in (0.0, 1.0):
-            mass = fsum(
-                s.pair_pmf[j]
-                for pair, j in index.items()
-                if pair[1 - given_arm] == value
-            )
-            if mass <= 0.0:
-                continue
-            top_mass = fsum(
-                s.pair_pmf[j]
-                for pair, j in index.items()
-                if pair[1 - given_arm] == value and pair[1 - other_arm] == 1.0
-            )
-            sups.append((value, 1.0 if top_mass > 0.0 else 0.0))
-        for (v0, s0), (v1, s1) in zip(sups, sups[1:]):
-            checks.append(
-                _equal(f"esssup Y({other_arm}) | Y({given_arm}): {v0} vs {v1}", s1, s0)
-            )
+    # Per given outcome, its levels 0 and 1 as (top, bottom): the masses with
+    # the other outcome 1 and 0.  The other outcome's esssup at a level is
+    # 1.0 when its top cell has mass; both levels need mass to be compared.
+    for given, other, levels in ((1, 0, ((m01, m00), (m11, m10))),
+                                 (0, 1, ((m10, m00), (m11, m01)))):
+        if all(top > 0.0 or bottom > 0.0 for top, bottom in levels):
+            (top0, _), (top1, _) = levels
+            checks.append(_equal(f"esssup Y({other}) | Y({given}): 0.0 vs 1.0",
+                                 float(top1 > 0.0), float(top0 > 0.0)))
     c = _report("thm5b.c", checks)
     return [a, b, c]
 
@@ -752,6 +738,14 @@ class ZbiasVerdict:
         return "YES" if self.zbias else "NO"
 
 
+def _amplification(bias_adj, bias_unadj):
+    """(amplified, tie): |bias_adj| exceeds |bias_unadj| by more than 1e-12,
+    or the two agree within 1e-12.  Floats give bools, numpy arrays give
+    boolean arrays."""
+    gap = abs(bias_adj) - abs(bias_unadj)
+    return gap > IDENTITY_TOL, abs(gap) <= IDENTITY_TOL
+
+
 def zbias_verdict(e: EstimateSet) -> ZbiasVerdict:
     """Judge amplification: per-slot orderings plus the strict whole-population call."""
     slots = []
@@ -771,9 +765,5 @@ def zbias_verdict(e: EstimateSet) -> ZbiasVerdict:
                 amplification_margin=amp_margin,
             )
         )
-    gap = abs(e.adj_all - e.true_all) - abs(e.unadj - e.true_all)
-    return ZbiasVerdict(
-        slots=tuple(slots),
-        zbias=gap > IDENTITY_TOL,
-        tie=abs(gap) <= IDENTITY_TOL,
-    )
+    zbias, tie = _amplification(e.adj_all - e.true_all, e.unadj - e.true_all)
+    return ZbiasVerdict(slots=tuple(slots), zbias=zbias, tie=tie)

@@ -43,6 +43,7 @@ from .scenario import (
     PotentialOutcomeScenario,
     _propensity_values,
     _total,
+    _treated_fraction,
     collapse_by_propensity,
     to_discrete,
 )
@@ -232,7 +233,7 @@ def _po_strata(s: PotentialOutcomeScenario):
         if s.pi_pmf[k] == 0.0:
             continue
         row = tuple(zip(s.pair_pmf, s.treat[k], s.y_pairs))
-        mass1 = fsum(p * t for p, t, _y in row)
+        mass1 = _treated_fraction(s.pair_pmf, s.treat[k])
         mass0 = fsum(p * (1.0 - t) for p, t, _y in row)
         nu1 = _total([p * t * y1 for p, t, (y1, _) in row]) / mass1 if mass1 > 0.0 else None
         nu0 = _total([p * (1 - t) * y0 for p, t, (_, y0) in row]) / mass0 if mass0 > 0.0 else None

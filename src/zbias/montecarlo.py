@@ -28,14 +28,15 @@ from numbers import Integral
 
 import numpy as np
 
+from .conditions import _amplification
 from .errors import InvariantViolation
 from .estimators import _json_num
 from .rng import PARAMS_PER_DRAW, primary_uniforms, retry_block_uniforms, retry_uniforms
-from .scenario import IDENTITY_TOL, BinaryScenario
+from .scenario import _BINARY_KEYS, BinaryScenario, _binary_scenario
 
 log = logging.getLogger(__name__)
 
-SCATTER_HEADER = "pZ,pU,p11,p10,p01,p00,r11,r10,r01,r00,bias_adj,bias_unadj,zbias"
+SCATTER_HEADER = ",".join((*_BINARY_KEYS, "bias_adj", "bias_unadj", "zbias"))
 
 _CHUNK = 1 << 15
 _BLOCK = 1 << 13
@@ -109,25 +110,7 @@ class ScenarioStream:
 
 def draw_scenario(stream: ScenarioStream) -> BinaryScenario:
     """Next uniformly drawn binary scenario; advances the stream."""
-    row = stream.next_params()
-    return _scenario_from_params(row)
-
-
-def _scenario_from_params(row) -> BinaryScenario:
-    p_z, p_u, p11, p10, p01, p00, r11, r10, r01, r00 = (float(x) for x in row)
-    return BinaryScenario(
-        z_prob=p_z,
-        u_prob=p_u,
-        treat=((p00, p01), (p10, p11)),
-        outcome_mean=((r00, r01), (r10, r11)),
-        binary_outcome=True,
-    )
-
-
-def _degenerate(row) -> bool:
-    # A zero treatment-side parameter (pZ, pU or a treatment cell) can empty
-    # a conditioning event; outcome parameters cannot.
-    return bool(np.any(row[:6] == 0.0))
+    return _binary_scenario(stream.next_params().tolist())
 
 
 def _param_draws(seed: int, start: int, count: int) -> tuple[np.ndarray, list[int]]:
@@ -135,8 +118,10 @@ def _param_draws(seed: int, start: int, count: int) -> tuple[np.ndarray, list[in
     and the draw index of every redraw made, in draw order."""
     rows = primary_uniforms(seed, start, count)[:, :PARAMS_PER_DRAW]
     redraws = []
-    # A zero has probability 2**-53 per word: one whole-chunk test is the
-    # normal path, the per-row scan runs only when it fires.
+    # A zero treatment-side parameter (pZ, pU or a treatment cell) can empty
+    # a conditioning event; outcome parameters cannot.  A zero has
+    # probability 2**-53 per word: one whole-chunk test is the normal path,
+    # the per-row scan runs only when it fires.
     if not (rows[:, :6] == 0.0).any():
         return rows, redraws
     bad = np.nonzero(rows[:, :6].min(axis=1) == 0.0)[0]
@@ -144,7 +129,7 @@ def _param_draws(seed: int, start: int, count: int) -> tuple[np.ndarray, list[in
         index = start + int(offset)
         attempt = 0
         row = rows[offset]
-        while _degenerate(row):
+        while (row[:6] == 0.0).any():
             redraws.append(index)
             row = retry_uniforms(seed, index, attempt)[:PARAMS_PER_DRAW]
             attempt += 1
@@ -370,13 +355,6 @@ def population_biases(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bias_adj, bias_unadj
 
 
-def _classify(bias_adj: np.ndarray, bias_unadj: np.ndarray):
-    gap = np.abs(bias_adj) - np.abs(bias_unadj)
-    amplified = gap > IDENTITY_TOL
-    tie = np.abs(gap) <= IDENTITY_TOL
-    return amplified, tie
-
-
 def _thread_count(value: int, chunks: int, cpus: int | None) -> int:
     """Worker threads for a run: the requested ``value`` clamped to the
     chunk count and the CPU count (``os.cpu_count()``, None if unknown);
@@ -422,7 +400,7 @@ def _in_order(work, cfg: McConfig, workers: int, make_pool):
 def _volume_block(cfg: McConfig, chunk: tuple[int, int]) -> tuple[int, int, list[int]]:
     """Amplified and tied draw counts of one chunk, and its redraws."""
     rows, redraws = _chunk_draws(cfg, *chunk)
-    amplified, tie = _classify(*population_biases(rows))
+    amplified, tie = _amplification(*population_biases(rows))
     return int(amplified.sum()), int(tie.sum()), redraws
 
 
@@ -450,7 +428,7 @@ def _scatter_block(cfg: McConfig, chunk: tuple[int, int]) -> tuple[bytes, list[i
     """
     rows, redraws = _chunk_draws(cfg, *chunk)
     bias_adj, bias_unadj = population_biases(rows)
-    amplified, _ = _classify(bias_adj, bias_unadj)
+    amplified, _ = _amplification(bias_adj, bias_unadj)
     lines = []
     for row, ba, bu, flag in zip(rows, bias_adj, bias_unadj, amplified):
         # tolist() gives Python floats, whose repr is the same shortest

@@ -94,17 +94,13 @@ def _to_unit(words: np.ndarray) -> np.ndarray:
     return (words >> _SHIFT_DOUBLE) * (1.0 / 9007199254740992.0)
 
 
-def _generator(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=block))
-
-
 def primary_uniforms(seed: int, start_draw: int, n_draws: int) -> np.ndarray:
     """Uniforms for draws [start_draw, start_draw + n_draws), one row each.
 
     Rows hold the 16 doubles of the draw's primary region; concatenating the
     rows of adjacent shards reproduces a single sequential generation.
     """
-    gen = _generator(seed, BLOCKS_PER_DRAW * start_draw)
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=BLOCKS_PER_DRAW * start_draw))
     return gen.random(n_draws * DOUBLES_PER_DRAW).reshape(n_draws, DOUBLES_PER_DRAW)
 
 

@@ -27,6 +27,11 @@ VALIDATION_TOL = 1e-9
 # adjustment conditions on the propensity.
 PROPENSITY_MERGE_TOL = 1e-9
 
+# The ten parameters of a binary world, in the order of its file keys, its
+# scatter CSV columns and its Monte Carlo draws.  pZU cells use z as the
+# first digit (p10 = Pr(A=1 | Z=1, U=0)); rAU cells are E(Y | A=a, U=u).
+_BINARY_KEYS = ("pZ", "pU", "p11", "p10", "p01", "p00", "r11", "r10", "r01", "r00")
+
 
 def _as_float(value, name: str, finite: bool = False) -> float:
     try:
@@ -166,7 +171,7 @@ class BinaryScenario:
     binary_outcome: bool = True
 
     def __post_init__(self):
-        names = ("pZ", "pU").__getitem__
+        names = _BINARY_KEYS.__getitem__
         z_prob, u_prob = _float_tuple((self.z_prob, self.u_prob), names)
         object.__setattr__(self, "z_prob", z_prob)
         object.__setattr__(self, "u_prob", u_prob)
@@ -312,7 +317,7 @@ class PotentialOutcomeScenario:
         _check_pmf(self.pair_pmf, len(pairs), "y_pairs")
 
         def implies_pi(k, row):
-            implied = fsum(t * p for t, p in zip(row, self.pair_pmf))
+            implied = _treated_fraction(self.pair_pmf, row)
             if abs(implied - self.pi_support[k]) > VALIDATION_TOL:
                 raise InvariantViolation(
                     f"Pr(A=1|pi)=pi must hold: treatment table implies {implied!r} "
@@ -369,6 +374,26 @@ class CovariateFamily:
             raise InvariantViolation(f"weights must sum to 1, got {total!r}", field="strata")
 
 
+def _binary_params(s: BinaryScenario) -> tuple[float, ...]:
+    """The ten parameters of ``s`` in ``_BINARY_KEYS`` order."""
+    (p00, p01), (p10, p11) = s.treat
+    (r00, r01), (r10, r11) = s.outcome_mean
+    return s.z_prob, s.u_prob, p11, p10, p01, p00, r11, r10, r01, r00
+
+
+def _binary_scenario(params, binary_outcome: bool = True) -> BinaryScenario:
+    """The binary world of ten parameters in ``_BINARY_KEYS`` order."""
+    p_z, p_u, p11, p10, p01, p00, r11, r10, r01, r00 = params
+    return BinaryScenario(z_prob=p_z, u_prob=p_u, treat=((p00, p01), (p10, p11)),
+                          outcome_mean=((r00, r01), (r10, r11)), binary_outcome=binary_outcome)
+
+
+def _treated_fraction(pmf, treat) -> float:
+    """Pr(A=1) of a law with masses ``pmf`` and treatment probabilities
+    ``treat``: the compensated sum of their products."""
+    return fsum(p * t for p, t in zip(pmf, treat))
+
+
 def to_discrete(scenario: BinaryScenario) -> DiscreteScenario:
     """Embed a binary scenario into the general finite-support form.
 
@@ -392,10 +417,7 @@ def to_discrete(scenario: BinaryScenario) -> DiscreteScenario:
 
 
 def _propensity_values(scenario: DiscreteScenario) -> list[float]:
-    return [
-        fsum(scenario.u_pmf[j] * scenario.treat[i][j] for j in range(scenario.n_u))
-        for i in range(scenario.n_z)
-    ]
+    return [_treated_fraction(scenario.u_pmf, row) for row in scenario.treat]
 
 
 def propensity(scenario: DiscreteScenario) -> dict[float, float]:
@@ -461,8 +483,7 @@ def collapse_by_propensity(
             )
         # Label with the merged row's own propensity so that the collapsed
         # scenario satisfies propensity(z) == z exactly.
-        label = fsum(scenario.u_pmf[j] * treat_row[j] for j in range(scenario.n_u))
-        support.append(label)
+        support.append(_treated_fraction(scenario.u_pmf, treat_row))
         pmf.append(mass)
         treat_rows.append(treat_row)
         mean_rows.append(means)

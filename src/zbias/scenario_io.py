@@ -39,18 +39,19 @@ import re
 
 from .errors import InvariantViolation, ScenarioFormatError
 from .scenario import (
+    _BINARY_KEYS,
     BinaryScenario,
     CovariateFamily,
     DiscreteScenario,
     PotentialOutcomeScenario,
     Stratum,
+    _binary_params,
+    _binary_scenario,
 )
 
 Scenario = BinaryScenario | DiscreteScenario | PotentialOutcomeScenario | CovariateFamily
 
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\[\d+\])*$")
-
-_BINARY_KEYS = ("pZ", "pU", "p11", "p10", "p01", "p00", "r11", "r10", "r01", "r00")
 
 
 _Entry = tuple[str, int]  # (value text, line number)
@@ -105,7 +106,7 @@ def _scan(text: str):
             if block is not None:
                 raise ScenarioFormatError("nested stratum blocks are not allowed", lineno)
             parts = line.split()
-            if len(parts) != 4:
+            if len(parts) != 4 or parts[1] != "stratum":
                 raise ScenarioFormatError("expected 'begin stratum <label> <weight>'", lineno)
             label = parts[2]
             weight = _parse_float(parts[3], lineno, "stratum weight")
@@ -209,16 +210,10 @@ def _pop_bool(entries: dict[str, _Entry], key: str, default: bool) -> bool:
 
 
 def _build_binary(entries: dict[str, _Entry]) -> BinaryScenario:
-    values = {key: _parse_float(*_pop(entries, key), key) for key in _BINARY_KEYS}
+    params = [_parse_float(*_pop(entries, key), key) for key in _BINARY_KEYS]
     binary = _pop_bool(entries, "binary_outcome", True)
     _reject_unknown(entries)
-    return BinaryScenario(
-        z_prob=values["pZ"],
-        u_prob=values["pU"],
-        treat=((values["p00"], values["p01"]), (values["p10"], values["p11"])),
-        outcome_mean=((values["r00"], values["r01"]), (values["r10"], values["r11"])),
-        binary_outcome=binary,
-    )
+    return _binary_scenario(params, binary)
 
 
 def _law(text: str):
@@ -371,14 +366,7 @@ def serialize_scenario(scenario: Scenario) -> str:
     out: list[str] = []
     if isinstance(scenario, BinaryScenario):
         out.append("kind = binary")
-        out.append(f"pZ = {scenario.z_prob!r}")
-        out.append(f"pU = {scenario.u_prob!r}")
-        for z in (1, 0):
-            for u in (1, 0):
-                out.append(f"p{z}{u} = {scenario.treat[z][u]!r}")
-        for a in (1, 0):
-            for u in (1, 0):
-                out.append(f"r{a}{u} = {scenario.outcome_mean[a][u]!r}")
+        out += [f"{key} = {v!r}" for key, v in zip(_BINARY_KEYS, _binary_params(scenario))]
         out.append(f"binary_outcome = {'true' if scenario.binary_outcome else 'false'}")
     elif isinstance(scenario, DiscreteScenario):
         out.append("kind = discrete")

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import binary_from_params
 from zbias import (
+    EstimateSet,
     InvariantViolation,
     McConfig,
     McResult,
@@ -28,7 +29,10 @@ from zbias import (
     estimate_volume,
     estimates,
     export_scatter,
+    parse_scenario,
     population_biases,
+    serialize_scenario,
+    zbias_verdict,
 )
 from zbias import montecarlo
 from zbias.cli import main
@@ -261,6 +265,47 @@ def test_scatter_round_trips_parameters(tmp_path):
     for line, row in zip(lines, rows):
         cells = [float(c) for c in line.split(",")[:10]]
         assert cells == list(row)
+
+
+def test_scenario_file_and_scatter_row_share_one_layout(tmp_path):
+    # The file keys of a drawn world are the scatter CSV's first ten
+    # columns, with the same text per value, and the file parses back.
+    out = tmp_path / "scatter.csv"
+    export_scatter(McConfig(draws=4, seed=31), out)
+    header, *rows = out.read_text().splitlines()
+    stream = ScenarioStream(31)
+    for row in rows:
+        world = draw_scenario(stream)
+        text = serialize_scenario(world)
+        pairs = [line.split(" = ") for line in text.splitlines()[1:11]]
+        assert [key for key, _ in pairs] == header.split(",")[:10]
+        assert [value for _, value in pairs] == row.split(",")[:10]
+        assert parse_scenario(text) == world
+
+
+TIE_BAND_GAPS = [0.0, 1e-12, -1e-12, 0.25, -0.25, *(
+    math.nextafter(g, toward) for g in (1e-12, -1e-12) for toward in (-1.0, 1.0))]
+
+
+def test_mc_and_verdict_share_one_tie_band(tmp_path, monkeypatch):
+    # |adj| - |unadj| is exact when one side is 0, so each gap lands on,
+    # just inside or just outside the 1e-12 band.
+    bias_adj = np.array([max(g, 0.0) for g in TIE_BAND_GAPS])
+    bias_unadj = np.array([max(-g, 0.0) for g in TIE_BAND_GAPS])
+    monkeypatch.setattr(montecarlo, "population_biases", lambda rows: (bias_adj, bias_unadj))
+    monkeypatch.delenv("ZBIAS_THREADS", raising=False)
+    verdicts = [
+        zbias_verdict(EstimateSet(0.0, 0.0, 0.0, u, a, a, a, 0.5, "on_z"))
+        for a, u in zip(bias_adj.tolist(), bias_unadj.tolist())
+    ]
+    cfg = McConfig(draws=len(TIE_BAND_GAPS), seed=1)
+    result = estimate_volume(cfg)
+    assert sum(v.zbias for v in verdicts) == 2 and sum(v.tie for v in verdicts) == 5
+    assert result.volume == 2 / cfg.draws and result.tie_count == 5
+    out = tmp_path / "scatter.csv"
+    export_scatter(cfg, out)
+    flags = [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]]
+    assert flags == ["true" if v.zbias else "false" for v in verdicts]
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,8 @@ treat[1][3] = 0.5
         (DISCRETE_TEXT, "z_support = 0, 1", "z_support =", "line 2: z_support: empty list"),
         (FAMILY_TEXT, "begin stratum young 0.3", "begin stratum a",
          "line 2: expected 'begin stratum <label> <weight>'"),
+        (FAMILY_TEXT, "begin stratum young 0.3", "begin stratumX young 0.3",
+         "line 2: expected 'begin stratum <label> <weight>'"),
         (FAMILY_TEXT, "begin stratum young 0.3", "begin stratum a -1",
          "stratum a weight: must be nonnegative"),
         (FAMILY_TEXT, "begin stratum young 0.3\n", "begin stratum young 0.3\n  kind = binary\n",
@@ -325,7 +327,7 @@ treat[1][3] = 0.5
         (TINY_PI_TEXT, "pi_support = 1e-12, 0.5", "pi_support = 0, 0.5",
          "multiplicative model needs pi > 0 at every level"),
     ],
-    ids=["empty list", "stratum header", "stratum weight", "stratum kind", "empty y_pairs",
+    ids=["empty list", "stratum header", "stratum header word", "stratum weight", "stratum kind", "empty y_pairs",
          "no strata", "binary law", "cor4 pi"],
 )
 def test_file_errors_are_one_line(tmp_path, capsys, text, old, new, message):
