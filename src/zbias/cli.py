@@ -3,12 +3,13 @@
 Subcommands: eval, check, dce, rr, average, mc, scatter.  Machine output is
 one line of JSON on stdout; ``eval --table`` prints an aligned text row
 instead.  Exit status: 0 success, 1 validation error, 2 I/O error, 3
-degenerate population or undefined stratum, 4 internal error (any other
-exception, reported as ``error: internal: ...`` instead of a traceback).
-Every error prints exactly one diagnostic line on stderr.  The environment
-variable ZBIAS_THREADS caps Monte Carlo parallelism (0 or unset means
-sequential; larger values are clamped to the number of 32768-draw chunks
-and of CPUs): ``mc`` uses threads, ``scatter`` worker processes.
+degenerate population, undefined stratum or empty conditioning event, 4
+internal error (any other exception, reported as ``error: internal: ...``
+instead of a traceback).  Every error prints exactly one diagnostic line on
+stderr.  The environment variable ZBIAS_THREADS caps Monte Carlo
+parallelism (0 or unset means sequential; larger values are clamped to the
+number of 32768-draw chunks and of CPUs): ``mc`` uses threads, ``scatter``
+worker processes.
 ``scatter`` writes its CSV to a temporary file that replaces ``--out`` only
 once every row is written.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import conditions
@@ -27,7 +27,7 @@ from .errors import (
     UndefinedStratumError,
     ZbiasError,
 )
-from .estimators import covariate_average, dce, estimates, po_estimates, rr
+from .estimators import _json_str, covariate_average, dce, estimates, po_estimates, rr
 from .scenario import (
     BinaryScenario,
     CovariateFamily,
@@ -62,7 +62,7 @@ _THEOREMS = {
 }
 
 
-class _UsageError(Exception):
+class _UsageError(ZbiasError):
     pass
 
 
@@ -142,7 +142,7 @@ def _table_row(estimate_set) -> str:
     return header + "\n" + row
 
 
-def _run_eval(args) -> int:
+def _run_eval(args) -> str:
     scenario = _load(
         args.scenario, (BinaryScenario, DiscreteScenario, PotentialOutcomeScenario), "eval"
     )
@@ -152,39 +152,33 @@ def _run_eval(args) -> int:
         result = estimates(
             scenario, args.conditioning, allow_direct_effect=args.allow_direct_effect
         )
-    print(_table_row(result) if args.table else result.to_json())
-    return 0
+    return _table_row(result) if args.table else result.to_json()
 
 
-def _run_check(args) -> int:
+def _run_check(args) -> str:
     kinds, checker = _THEOREMS[args.theorem]
     scenario = _load(args.scenario, kinds, f"check --theorem {args.theorem}")
-    print(conditions.reports_to_json(checker(scenario)))
-    return 0
+    return conditions.reports_to_json(checker(scenario))
 
 
-def _run_dce(args) -> int:
+def _run_dce(args) -> str:
     scenario = _load(args.scenario, _GRID, "dce")
-    print(dce(scenario, args.threshold, args.conditioning).to_json())
-    return 0
+    return dce(scenario, args.threshold, args.conditioning).to_json()
 
 
-def _run_rr(args) -> int:
+def _run_rr(args) -> str:
     scenario = _load(args.scenario, _GRID, "rr")
-    print(rr(scenario, args.conditioning).to_json())
-    return 0
+    return rr(scenario, args.conditioning).to_json()
 
 
-def _run_average(args) -> int:
+def _run_average(args) -> str:
     family = _load(args.scenario, (CovariateFamily,), "average")
-    result = covariate_average(
+    return covariate_average(
         family, args.conditioning, allow_direct_effect=args.allow_direct_effect
-    )
-    print(result.to_json())
-    return 0
+    ).to_json()
 
 
-def _run_mc(args) -> int:
+def _run_mc(args) -> str:
     # Imported here and in _run_scatter: only Monte Carlo needs numpy.
     from .montecarlo import McConfig, estimate_volume
 
@@ -193,24 +187,14 @@ def _run_mc(args) -> int:
         seed=args.seed,
         filter=(args.filter,) if args.filter else None,
     )
-    print(estimate_volume(cfg).to_json())
-    return 0
+    return estimate_volume(cfg).to_json()
 
 
-def _run_scatter(args) -> int:
+def _run_scatter(args) -> str:
     from .montecarlo import McConfig, export_scatter
 
-    cfg = McConfig(draws=args.draws, seed=args.seed)
-    rows = export_scatter(cfg, args.out)
-    try:
-        args.out.encode("utf-8")
-        out = json.dumps(args.out, ensure_ascii=False)
-    except UnicodeEncodeError:
-        # A path byte that is not UTF-8 arrives as a lone surrogate; only
-        # the ASCII escape keeps stdout valid UTF-8 JSON.
-        out = json.dumps(args.out)
-    print('{"rows": %d, "out": %s}' % (rows, out))
-    return 0
+    rows = export_scatter(McConfig(draws=args.draws, seed=args.seed), args.out)
+    return '{"rows": %d, "out": %s}' % (rows, _json_str(args.out))
 
 
 _HANDLERS = {
@@ -225,25 +209,23 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command: its text on stdout and status 0, or exactly one
+    ``error: ...`` line on stderr and the status the module docstring lists."""
     try:
-        args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        # Printed inside the try, so a failed stdout write is one error line too.
+        print(_HANDLERS[args.command](args))
+        return 0
     except (DegeneratePopulationError, UndefinedStratumError, UndefinedConditionalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        status, message = 3, exc
     except ZbiasError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        status, message = 1, exc
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        status, message = 2, exc
     except Exception as exc:
-        print(f"error: internal: {exc!r}", file=sys.stderr)
-        return 4
+        status, message = 4, f"internal: {exc!r}"
+    print(f"error: {message}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

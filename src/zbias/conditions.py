@@ -22,7 +22,7 @@ from .errors import (
     UndefinedConditionalError,
     ZeroDenominatorError,
 )
-from .estimators import EstimateSet, _json_num, _mu_values, _pi_covariance, _po_strata
+from .estimators import EstimateSet, _json_num, _json_str, _mu_values, _pi_covariance, _po_strata
 from .scenario import (
     IDENTITY_TOL,
     VALIDATION_TOL,
@@ -76,10 +76,6 @@ class ConditionReport:
             % (_json_str(self.condition_id), "true" if self.holds else "false",
                margin, cells)
         )
-
-
-def _json_str(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def reports_to_json(reports) -> str:

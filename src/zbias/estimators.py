@@ -25,6 +25,7 @@ stratum per pi.  Slots are differences, or ratios, of moment pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring, encode_basestring_ascii
 from math import fsum, isfinite
 from typing import Literal
 
@@ -69,6 +70,16 @@ def _json_num(value: float) -> str:
     if not isfinite(value):
         raise InvariantViolation(f"{value!r} is not finite and has no JSON form")
     return f"{value:.17g}"
+
+
+def _json_str(text: str) -> str:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        # A path byte that is not UTF-8 arrives as a lone surrogate; only
+        # the ASCII escape keeps stdout valid UTF-8 JSON.
+        return encode_basestring_ascii(text)
+    return encode_basestring(text)
 
 
 def _check_convex(total: float, f: float, treated: float, control: float, name: str) -> None:
@@ -118,7 +129,7 @@ class EstimateSet:
     def to_json(self) -> str:
         # One key per field, in declaration order.
         parts = [
-            f'"{key}": "{value}"' if key == "conditioning"
+            f'"{key}": {_json_str(value)}' if key == "conditioning"
             else f'"{_JSON_NAMES.get(key, key)}": {_json_num(value)}'
             for key, value in vars(self).items()
         ]

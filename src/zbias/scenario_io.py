@@ -102,17 +102,18 @@ def _scan(text: str):
             if key in target:
                 raise ScenarioFormatError(f"duplicate key {key!r}", lineno)
             target[key] = (value.strip(), lineno)
-        elif line.startswith("begin stratum"):
+            continue
+        words = line.split()
+        if " ".join(words[:2]).startswith("begin stratum"):
             if block is not None:
                 raise ScenarioFormatError("nested stratum blocks are not allowed", lineno)
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "stratum":
+            if len(words) != 4 or words[1] != "stratum":
                 raise ScenarioFormatError("expected 'begin stratum <label> <weight>'", lineno)
-            label = parts[2]
-            weight = _parse_float(parts[3], lineno, "stratum weight")
+            label = words[2]
+            weight = _parse_float(words[3], lineno, "stratum weight")
             target = block = {}
             strata.append((label, weight, block, lineno))
-        elif line == "end stratum":
+        elif words == ["end", "stratum"]:
             if block is None:
                 raise ScenarioFormatError("'end stratum' without matching begin", lineno)
             target, block = entries, None

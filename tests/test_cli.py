@@ -187,6 +187,10 @@ def test_scatter_reports_path_as_json_string(tmp_path):
     plain = tmp_path / "plain.csv"
     cp = run_cli("scatter", "--draws", "5", "--seed", "3", "--out", str(plain))
     assert cp.stdout == '{"rows": 5, "out": "%s"}\n' % plain
+    control = str(tmp_path / "caf\u00e9\tnew\nline.csv")
+    cp = run_cli("scatter", "--draws", "5", "--seed", "3", "--out", control)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == '{"rows": 5, "out": %s}\n' % json.dumps(control, ensure_ascii=False)
 
 
 def test_byte_identical_reruns(case1_file):
@@ -285,6 +289,41 @@ def test_internal_error_is_one_line_with_exit_4(monkeypatch, capsys, case1_file)
     monkeypatch.undo()
     assert cli.main(["eval", case1_file, "--table"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].split()[-1] == "YES"
+
+
+class _BrokenPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", None], ["mc", "--draws", "100", "--seed", "1"]], ids=["eval", "mc"]
+)
+def test_failed_stdout_write_is_one_error_line_exit_2(monkeypatch, capsys, case1_file, argv):
+    from zbias import cli
+
+    argv = [case1_file if a is None else a for a in argv]
+    monkeypatch.setattr(sys, "stdout", _BrokenPipe())
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_empty_conditioning_event_is_one_line_exit_3(tmp_path, capsys):
+    from zbias.cli import main
+
+    # No U=0 unit is treated and the outcome mean depends on Z, so thm1's
+    # E(Y|A=1, U=0) averages over an empty population.
+    cells = ["treat[0][0] = 0", "treat[0][1] = 0.3", "treat[1][0] = 0", "treat[1][1] = 0.8"]
+    means = [f"mean[{a}][{i}][{j}] = 0.{4 * a + 2 * i + j + 1}"
+             for a in (0, 1) for i in (0, 1) for j in (0, 1)]
+    path = tmp_path / "empty_arm.scn"
+    path.write_text("\n".join(
+        ["kind = discrete", "z_support = 0, 1", "z_pmf = 0.5, 0.5", "u_support = 0, 1",
+         "u_pmf = 0.5, 0.5", *cells, *means, ""]))
+    assert main(["check", str(path), "--theorem", "thm1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: E(Y|A=1, U=0.0) undefined: empty conditioning event\n"
 
 
 def test_scatter_non_utf8_path_is_ascii_escaped(tmp_path):

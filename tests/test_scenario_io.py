@@ -147,6 +147,16 @@ def test_parse_family():
     assert s.strata[0].weight == 0.3
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [("begin stratum", "begin\tstratum"), ("begin stratum", "begin  stratum"),
+     ("end stratum", "end\tstratum"), ("end stratum", "end  stratum")],
+    ids=["begin tab", "begin two spaces", "end tab", "end two spaces"],
+)
+def test_stratum_header_and_footer_split_on_any_whitespace(old, new):
+    assert parse_scenario(FAMILY_TEXT.replace(old, new)) == parse_scenario(FAMILY_TEXT)
+
+
 def test_unknown_kind():
     with pytest.raises(ScenarioFormatError, match="unknown kind"):
         parse_scenario("kind = banana\n")
