@@ -2,14 +2,15 @@
 
 Subcommands: eval, check, dce, rr, average, mc, scatter.  Machine output is
 one line of JSON on stdout; ``eval --table`` prints an aligned text row
-instead.  Exit status: 0 success, 1 validation error, 2 I/O error, 3
-degenerate population, undefined stratum or empty conditioning event, 4
-internal error (any other exception, reported as ``error: internal: ...``
-instead of a traceback).  Every error prints exactly one diagnostic line on
-stderr.  The environment variable ZBIAS_THREADS caps Monte Carlo
-parallelism (0 or unset means sequential; larger values are clamped to the
-number of 32768-draw chunks and of CPUs): ``mc`` uses threads, ``scatter``
-worker processes.
+instead.  Exit status: 0 success, 1 validation error, 2 I/O error (and
+``mc`` or ``scatter`` without numpy: ``error: mc needs numpy, which is not
+installed``), 3 degenerate population, undefined stratum or empty
+conditioning event, 4 internal error (any other exception, reported as
+``error: internal: ...`` instead of a traceback).  Every error prints
+exactly one diagnostic line on stderr.  The environment variable
+ZBIAS_THREADS caps Monte Carlo parallelism (0 or unset means sequential;
+larger values are clamped to the number of 32768-draw chunks and of CPUs):
+``mc`` uses threads, ``scatter`` worker processes.
 ``scatter`` writes its CSV to a temporary file that replaces ``--out`` only
 once every row is written.
 """
@@ -178,22 +179,30 @@ def _run_average(args) -> str:
     ).to_json()
 
 
-def _run_mc(args) -> str:
-    # Imported here and in _run_scatter: only Monte Carlo needs numpy.
-    from .montecarlo import McConfig, estimate_volume
+def _montecarlo(command: str):
+    """The Monte Carlo module, imported on first use: only it needs numpy."""
+    try:
+        from . import montecarlo
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        raise OSError(f"{command} needs numpy, which is not installed") from None
+    return montecarlo
 
-    cfg = McConfig(
+
+def _run_mc(args) -> str:
+    mc = _montecarlo("mc")
+    cfg = mc.McConfig(
         draws=args.draws,
         seed=args.seed,
         filter=(args.filter,) if args.filter else None,
     )
-    return estimate_volume(cfg).to_json()
+    return mc.estimate_volume(cfg).to_json()
 
 
 def _run_scatter(args) -> str:
-    from .montecarlo import McConfig, export_scatter
-
-    rows = export_scatter(McConfig(draws=args.draws, seed=args.seed), args.out)
+    mc = _montecarlo("scatter")
+    rows = mc.export_scatter(mc.McConfig(draws=args.draws, seed=args.seed), args.out)
     return '{"rows": %d, "out": %s}' % (rows, _json_str(args.out))
 
 

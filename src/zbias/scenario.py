@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import fsum
+from operator import lt, mul, sub
 
 from .errors import InvariantViolation
 
@@ -123,6 +125,36 @@ def _check_table(rows, name: str, n_rows: int, n_cols: int, row_check=None,
             row_check(k, row)
 
 
+_SEQUENCES = {tuple, list}
+
+
+def _runs(items, size: int):
+    """Consecutive runs of ``size`` items, as tuples."""
+    return zip(*[iter(items)] * size)
+
+
+def _grids(tables, n_rows: int, n_cols: int, unit=False):
+    """Tables of ``n_rows`` rows of ``n_cols`` floats, converted in one pass
+    when one test over every cell passes: each cell finite and, with
+    ``unit``, in [0, 1].  None when the test fails or ``tables``, a table or
+    a row is not a tuple or list (one that can be iterated again), for
+    ``_rows`` and ``_check_table`` to name the fault."""
+    if (type(tables) not in _SEQUENCES or not {*map(type, tables)} <= _SEQUENCES
+            or {*map(len, tables)} != {n_rows}):
+        return None
+    rows = list(chain.from_iterable(tables))
+    if not {*map(type, rows)} <= _SEQUENCES or {*map(len, rows)} != {n_cols}:
+        return None
+    try:
+        rows = [tuple(map(float, row)) for row in rows]
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if not math.isfinite(sum(map(sum, rows))) or unit and not (
+            0.0 <= min(map(min, rows)) and max(map(max, rows)) <= 1.0):
+        return None
+    return tuple(_runs(rows, n_rows))
+
+
 def _binary_table(table, head: str, **cells):
     """A 2x2 table as two rows of floats, cell (i, k) named ``{head}{i}{k}``."""
     if len(table) != 2 or any(len(row) != 2 for row in table):
@@ -217,22 +249,67 @@ class DiscreteScenario:
         _check_pmf(self.z_pmf, self.n_z, "z_pmf")
         _check_pmf(self.u_pmf, self.n_u, "u_pmf")
 
-        treat = _rows(self.treat, "treat", self.n_z)
+        # Each table is tested whole; only a failed test walks its rows.
+        treat = _grids((self.treat,), self.n_z, self.n_u, unit=True)
+        if treat is None:
+            treat = _rows(self.treat, "treat", self.n_z)
+            _check_table(treat, "treat", self.n_z, self.n_u, unit=True)
+        else:
+            treat = treat[0]
         object.__setattr__(self, "treat", treat)
-        _check_table(treat, "treat", self.n_z, self.n_u, unit=True)
 
         if len(self.outcome_mean) != 2:
             raise InvariantViolation("expected tables for a=0 and a=1", field="mean")
-        mean = tuple(_rows(arm, f"mean[{a}]") for a, arm in enumerate(self.outcome_mean))
+        mean = _grids(self.outcome_mean, self.n_z, self.n_u, unit=self.binary_outcome)
+        if mean is None:
+            mean = tuple(_rows(arm, f"mean[{a}]") for a, arm in enumerate(self.outcome_mean))
+            for a, arm in enumerate(mean):
+                _check_table(arm, f"mean[{a}]", self.n_z, self.n_u,
+                             finite=True, unit=self.binary_outcome)
         object.__setattr__(self, "outcome_mean", mean)
-        for a, arm in enumerate(mean):
-            _check_table(arm, f"mean[{a}]", self.n_z, self.n_u,
-                         finite=True, unit=self.binary_outcome)
         if self.outcome_law is not None:
-            object.__setattr__(self, "outcome_law", self._checked_law())
+            law = self._uniform_law()
+            object.__setattr__(self, "outcome_law", law or self._checked_law())
+
+    def _uniform_law(self) -> OutcomeLaw | None:
+        """The outcome law as float pairs when every cell holds the same
+        number of points and one test over all cells passes: values finite,
+        strictly increasing and (binary outcome) in {0, 1}, masses summing
+        to 1 and law means within ``VALIDATION_TOL`` of their mean column.
+        None otherwise, for ``_checked_law`` to name the fault."""
+        law, n_u = self.outcome_law, self.n_u
+        if (type(law) not in _SEQUENCES or not {*map(type, law)} <= _SEQUENCES
+                or list(map(len, law)) != [n_u, n_u]):
+            return None
+        cells = list(chain.from_iterable(law))
+        if not {*map(type, cells)} <= _SEQUENCES or len({*map(len, cells)}) != 1:
+            return None
+        pairs = list(chain.from_iterable(cells))
+        if not pairs or not {*map(type, pairs)} <= _SEQUENCES or {*map(len, pairs)} != {2}:
+            return None
+        m = len(cells[0])  # each cell is a run of m values and of m masses
+        try:
+            flat = tuple(map(float, chain.from_iterable(pairs)))
+            values, probs = flat[::2], flat[1::2]
+            totals = list(map(fsum, _runs(probs, m)))
+            means = list(map(fsum, _runs(map(mul, values, probs), m)))
+        except (TypeError, ValueError, OverflowError):
+            return None
+        rising = list(map(lt, values, values[1:]))
+        del rising[m - 1::m]  # the pairs that straddle two cells
+        columns = [*zip(*self.outcome_mean[0]), *zip(*self.outcome_mean[1])]
+        tol = VALIDATION_TOL
+        if not (math.isfinite(sum(flat)) and min(probs) >= 0.0 and all(rising)
+                and (not self.binary_outcome or {0.0, 1.0}.issuperset(values))
+                and max(map(abs, map(sub, totals, repeat(1.0)))) <= tol
+                and max(map(abs, map(sub, means, map(min, columns)))) <= tol
+                and max(map(abs, map(sub, means, map(max, columns)))) <= tol):
+            return None
+        return tuple(_runs(_runs(zip(values, probs), m), n_u))
 
     def _checked_law(self) -> OutcomeLaw:
-        """The outcome law converted pair by pair and checked against the means."""
+        """The outcome law converted pair by pair and checked against the
+        means, cell by cell, so that the first fault is named."""
         law = tuple(
             tuple(_float_pairs(cell, lambda: f"law[{a}][{j}]", finite=False)
                   for j, cell in enumerate(arm))
@@ -276,8 +353,11 @@ class DiscreteScenario:
     def outcome_mean_depends_on_z(self) -> bool:
         """True when some E(Y|A=a,Z=z,U=u) varies with z beyond ``IDENTITY_TOL``."""
         for a in (0, 1):
-            base = self.outcome_mean[a][0]
-            for row in self.outcome_mean[a][1:]:
+            arm = self.outcome_mean[a]
+            base = arm[0]
+            if arm.count(base) == len(arm):  # every row equals row 0: no gap at all
+                continue
+            for row in arm[1:]:
                 if any(abs(x - y) > IDENTITY_TOL for x, y in zip(row, base)):
                     return True
         return False

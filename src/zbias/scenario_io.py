@@ -31,11 +31,25 @@ names ``treat[1][0]``, and when two spellings name one cell the later line
 wins.  Parsing is locale-independent (dot decimal separator).
 ``serialize_scenario`` emits this same format; parse . serialize is the
 identity on all fields.
+
+A file is read in one of two ways, with the same result.  The bulk pass
+takes a file whose every line is one ``key = value`` pair with a key of its
+own, as ``serialize_scenario`` writes them: it splits, partitions and strips
+all lines with C-level passes, pops each table's canonical keys by name and
+converts a whole table with one ``map(float)``, so a 32x16 world costs a
+few passes over the text instead of one interpreted step per line.  Any
+file it does not take (a comment, blank line, stratum block, repeated key,
+or a key it cannot pop by name) and any fault it meets goes to the line
+walk, ``_scan``, which reads one line at a time and names the first fault
+in line order.  The bulk pass never asks for a line number, so it records
+none.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import repeat
+from operator import itemgetter
 
 from .errors import InvariantViolation, ScenarioFormatError
 from .scenario import (
@@ -47,6 +61,7 @@ from .scenario import (
     Stratum,
     _binary_params,
     _binary_scenario,
+    _runs,
 )
 
 Scenario = BinaryScenario | DiscreteScenario | PotentialOutcomeScenario | CovariateFamily
@@ -54,7 +69,24 @@ Scenario = BinaryScenario | DiscreteScenario | PotentialOutcomeScenario | Covari
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\[\d+\])*$")
 
 
-_Entry = tuple[str, int]  # (value text, line number)
+class _Walk(Exception):
+    """The bulk pass cannot read a file; the line walk reads it instead."""
+
+
+class _Entries(dict):
+    """Value text by key.  ``lines`` maps each key to its line; the walk
+    records them, the bulk pass does not (``None``)."""
+
+    def __init__(self, pairs=(), lines=None):
+        super().__init__(pairs)
+        self.lines = lines
+
+    def line(self, key: str) -> int:
+        # Only a fault or a non-canonical key asks for a line, and the bulk
+        # pass leaves both to the walk.
+        if self.lines is None:
+            raise _Walk
+        return self.lines[key]
 
 
 def _number(text: str) -> float:
@@ -64,32 +96,20 @@ def _number(text: str) -> float:
         raise ValueError(f"not a number: {text!r}") from None
 
 
-def _parse_float(text: str, line: int, key: str) -> float:
+def _float(entries: _Entries, key: str, text: str) -> float:
+    """``float(text)`` of ``key``'s value or a piece of it; a bad number is
+    named with the key's line."""
     try:
         return _number(text)
     except ValueError as exc:
-        raise ScenarioFormatError(f"{key}: {exc}", line) from None
-
-
-def _parse_float_list(text: str, line: int, key: str) -> tuple[float, ...]:
-    items = [piece.strip() for piece in text.split(",")]
-    if items == [""]:
-        raise ScenarioFormatError(f"{key}: empty list", line)
-    return tuple(_parse_float(piece, line, key) for piece in items)
-
-
-def _parse_bool(text: str, line: int, key: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    raise ScenarioFormatError(f"{key}: expected true or false, got {text!r}", line)
+        raise ScenarioFormatError(f"{key}: {exc}", entries.line(key)) from None
 
 
 def _scan(text: str):
-    """Split file content into top-level entries and stratum blocks."""
-    entries: dict[str, _Entry] = {}
-    strata: list[tuple[str, float, dict[str, _Entry], int]] = []
-    block: dict[str, _Entry] | None = None
+    """Walk the lines: top-level entries and stratum blocks."""
+    entries = _Entries(lines={})
+    strata: list[tuple[str, float, _Entries, int]] = []
+    block: _Entries | None = None
     target = entries
     is_key = _KEY_RE.match
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -101,7 +121,8 @@ def _scan(text: str):
         if eq and is_key(key):
             if key in target:
                 raise ScenarioFormatError(f"duplicate key {key!r}", lineno)
-            target[key] = (value.strip(), lineno)
+            target[key] = value.strip()
+            target.lines[key] = lineno
             continue
         words = line.split()
         if " ".join(words[:2]).startswith("begin stratum"):
@@ -110,8 +131,11 @@ def _scan(text: str):
             if len(words) != 4 or words[1] != "stratum":
                 raise ScenarioFormatError("expected 'begin stratum <label> <weight>'", lineno)
             label = words[2]
-            weight = _parse_float(words[3], lineno, "stratum weight")
-            target = block = {}
+            try:
+                weight = _number(words[3])
+            except ValueError as exc:
+                raise ScenarioFormatError(f"stratum weight: {exc}", lineno) from None
+            target = block = _Entries(lines={})
             strata.append((label, weight, block, lineno))
         elif words == ["end", "stratum"]:
             if block is None:
@@ -126,10 +150,46 @@ def _scan(text: str):
     return entries, strata
 
 
-def _pop(entries: dict[str, _Entry], key: str) -> _Entry:
+def _bulk_entries(text: str) -> _Entries:
+    """The entries of a file whose every line is one ``key = value`` pair
+    with a key of its own, split and stripped in whole-file passes."""
+    lines = text.splitlines()
+    if not lines or "#" in text:
+        raise _Walk
+    parts = list(map(str.partition, lines, repeat("=")))
+    if "" in map(itemgetter(1), parts):
+        raise _Walk
+    keys = map(str.strip, map(itemgetter(0), parts))
+    entries = _Entries(zip(keys, map(str.strip, map(itemgetter(2), parts))))
+    if len(entries) < len(lines):  # a repeated key
+        raise _Walk
+    return entries
+
+
+def _pop(entries: _Entries, key: str) -> str:
     if key not in entries:
         raise ScenarioFormatError(f"missing required key {key!r}")
     return entries.pop(key)
+
+
+def _pop_float_list(entries: _Entries, key: str) -> tuple[float, ...]:
+    items = [piece.strip() for piece in _pop(entries, key).split(",")]
+    if items == [""]:
+        raise ScenarioFormatError(f"{key}: empty list", entries.line(key))
+    try:
+        return tuple(map(float, items))
+    except ValueError:
+        return tuple(_float(entries, key, item) for item in items)
+
+
+def _pop_bool(entries: _Entries, key: str, default: bool) -> bool:
+    if key not in entries:
+        return default
+    text = entries.pop(key)
+    lowered = text.lower()
+    if lowered in ("true", "false"):
+        return lowered == "true"
+    raise ScenarioFormatError(f"{key}: expected true or false, got {text!r}", entries.line(key))
 
 
 def _names(base: str, shape: tuple[int, ...]) -> list[str]:
@@ -141,10 +201,10 @@ def _names(base: str, shape: tuple[int, ...]) -> list[str]:
     return names
 
 
-def _pop_tables(entries: dict[str, _Entry], shapes: dict[str, tuple[int, ...]]):
-    """Pop every table's keys: {base: (cells, stray)}, with cells keyed by
-    canonical name in row-major order (None where missing) and stray holding
-    the out-of-range cells by canonical name.
+def _pop_tables(entries: _Entries, shapes: dict[str, tuple[int, ...]]):
+    """Pop every table's cells: {base: (names, cells, stray)}, with the
+    canonical names and value texts in row-major order (None where missing)
+    and stray holding the line of each out-of-range cell by canonical name.
 
     Canonical keys are popped by name; only the keys left with a table's
     prefix (leading zeros, out of range, wrong depth) have their indices
@@ -152,66 +212,69 @@ def _pop_tables(entries: dict[str, _Entry], shapes: dict[str, tuple[int, ...]]):
     """
     tables = {}
     for base, shape in shapes.items():
-        tables[base] = ({name: entries.pop(name, None) for name in _names(base, shape)}, {})
+        names = _names(base, shape)
+        tables[base] = (names, list(map(entries.pop, names, repeat(None))), {})
     for base, shape in shapes.items():
-        cells, stray = tables[base]
+        names, cells, stray = tables[base]
         prefix = base + "["
-        for key in [k for k in entries if k.startswith(prefix)]:
-            entry = entries.pop(key)
-            # Every key matched _KEY_RE in _scan, so after the first '[' it
-            # is only bracketed digit runs.  They are compared as digit strings
-            # because int() refuses one of more than 4,300 digits.
+        leftover = [k for k in entries if k.startswith(prefix)]
+        position = {name: k for k, name in enumerate(names)} if leftover else {}
+        for key in leftover:
+            line = entries.line(key)  # the bulk pass stops here
+            value = entries.pop(key)
+            # Every key the walk records matched _KEY_RE, so after the first
+            # '[' it is only bracketed digit runs.  They are compared as digit
+            # strings because int() refuses one of more than 4,300 digits.
             index = [k.lstrip("0") or "0" for k in key[len(prefix):-1].split("][")]
             if len(index) != len(shape):
-                raise ScenarioFormatError(f"{key}: expected {len(shape)} indices", entry[1])
+                raise ScenarioFormatError(f"{key}: expected {len(shape)} indices", line)
             name = base + "".join(f"[{k}]" for k in index)
-            if name not in cells:
-                stray[name] = entry
-            elif cells[name] is None or cells[name][1] < entry[1]:
-                cells[name] = entry
+            at = position.get(name)
+            if at is None:
+                stray[name] = line
+            elif cells[at] is None or entries.lines[name] < line:
+                cells[at] = value
+                entries.lines[name] = line  # the cell's line is now this spelling's
     return tables
 
 
-def _table(cells, base: str, shape: tuple[int, ...], parse, note: str = ""):
+def _table(entries: _Entries, table, base: str, shape: tuple[int, ...], parse,
+           note: str = ""):
     """Nested tuples of ``parse(value)`` over one table from ``_pop_tables``.
 
-    ``parse`` raises ValueError with the reason for a bad value.  The first
-    missing or bad cell in row-major order is reported, then stray cells.
+    ``parse`` is ``float`` or raises ValueError with the reason for a bad
+    value.  The first missing or bad cell in row-major order is reported,
+    then stray cells.
     """
-    found, stray = cells
+    names, cells, stray = table
     try:
-        flat = list(map(parse, [entry[0] for entry in found.values()]))
-    except (TypeError, ValueError):
-        for name, entry in found.items():
-            if entry is None:
+        if None in cells:
+            raise ValueError("a missing cell")
+        flat = tuple(map(parse, cells))
+    except ValueError:
+        for name, value in zip(names, cells):
+            if value is None:
                 raise ScenarioFormatError(f"missing required key {name!r}{note}") from None
             try:
-                parse(entry[0])
+                (_number if parse is float else parse)(value)
             except ValueError as exc:
-                raise ScenarioFormatError(f"{name}: {exc}", entry[1]) from None
+                raise ScenarioFormatError(f"{name}: {exc}", entries.line(name)) from None
         raise  # unreached: the walk meets the same fault. Without it, `flat` is unbound
     if stray:
-        raise ScenarioFormatError(f"{base} index out of range", min(e[1] for e in stray.values()))
+        raise ScenarioFormatError(f"{base} index out of range", min(stray.values()))
     for size in reversed(shape[1:]):
-        flat = [tuple(flat[k:k + size]) for k in range(0, len(flat), size)]
-    return tuple(flat)
+        flat = tuple(_runs(flat, size))
+    return flat
 
 
-def _reject_unknown(entries: dict[str, _Entry]) -> None:
+def _reject_unknown(entries: _Entries) -> None:
     if entries:
-        key = min(entries, key=lambda k: entries[k][1])
-        raise ScenarioFormatError(f"unknown key {key!r}", entries[key][1])
+        key = min(entries, key=entries.line)
+        raise ScenarioFormatError(f"unknown key {key!r}", entries.line(key))
 
 
-def _pop_bool(entries: dict[str, _Entry], key: str, default: bool) -> bool:
-    if key not in entries:
-        return default
-    value, line = entries.pop(key)
-    return _parse_bool(value, line, key)
-
-
-def _build_binary(entries: dict[str, _Entry]) -> BinaryScenario:
-    params = [_parse_float(*_pop(entries, key), key) for key in _BINARY_KEYS]
+def _build_binary(entries: _Entries) -> BinaryScenario:
+    params = [_float(entries, key, _pop(entries, key)) for key in _BINARY_KEYS]
     binary = _pop_bool(entries, "binary_outcome", True)
     _reject_unknown(entries)
     return _binary_scenario(params, binary)
@@ -229,20 +292,21 @@ def _law(text: str):
     return tuple(pairs)
 
 
-def _build_discrete(entries: dict[str, _Entry]) -> DiscreteScenario:
-    lists = {key: _parse_float_list(*_pop(entries, key), key)
+def _build_discrete(entries: _Entries) -> DiscreteScenario:
+    lists = {key: _pop_float_list(entries, key)
              for key in ("z_support", "z_pmf", "u_support", "u_pmf")}
     n_z = len(lists["z_support"])
     n_u = len(lists["u_support"])
 
     shapes = {"treat": (n_z, n_u), "mean": (2, n_z, n_u), "law": (2, n_u)}
     tables = _pop_tables(entries, shapes)
-    treat = _table(tables["treat"], "treat", shapes["treat"], _number)
-    mean = _table(tables["mean"], "mean", shapes["mean"], _number)
+    treat = _table(entries, tables["treat"], "treat", shapes["treat"], float)
+    mean = _table(entries, tables["mean"], "mean", shapes["mean"], float)
     law = None
-    law_cells, law_stray = tables["law"]
-    if law_stray or any(law_cells.values()):  # some law key, in range or not
-        law = _table(tables["law"], "law", shapes["law"], _law, " (outcome law must be complete)")
+    _, law_cells, law_stray = tables["law"]
+    if law_stray or law_cells.count(None) < len(law_cells):  # some law key, in range or not
+        law = _table(entries, tables["law"], "law", shapes["law"], _law,
+                     " (outcome law must be complete)")
 
     binary = _pop_bool(entries, "binary_outcome", False)
     _reject_unknown(entries)
@@ -251,27 +315,29 @@ def _build_discrete(entries: dict[str, _Entry]) -> DiscreteScenario:
     )
 
 
-def _build_potential_outcomes(entries: dict[str, _Entry]) -> PotentialOutcomeScenario:
-    pi_support = _parse_float_list(*_pop(entries, "pi_support"), "pi_support")
-    pi_pmf = _parse_float_list(*_pop(entries, "pi_pmf"), "pi_pmf")
+def _build_potential_outcomes(entries: _Entries) -> PotentialOutcomeScenario:
+    pi_support = _pop_float_list(entries, "pi_support")
+    pi_pmf = _pop_float_list(entries, "pi_pmf")
 
-    text, line = _pop(entries, "y_pairs")
+    text = _pop(entries, "y_pairs")
     pieces = [p.strip() for p in (text.split(";") if ";" in text else text.split())]
     pieces = [p for p in pieces if p]
     if not pieces:
-        raise ScenarioFormatError("y_pairs: empty list", line)
+        raise ScenarioFormatError("y_pairs: empty list", entries.line("y_pairs"))
     y_pairs = []
     pair_pmf = []
     for piece in pieces:
         coords, colon, prob = piece.partition(":")
         y1, comma, y0 = coords.partition(",")
         if not (colon and comma):
-            raise ScenarioFormatError(f"y_pairs: expected 'y1,y0:prob', got {piece!r}", line)
-        y_pairs.append(tuple(_parse_float(y.strip(), line, "y_pairs") for y in (y1, y0)))
-        pair_pmf.append(_parse_float(prob.strip(), line, "y_pairs"))
+            raise ScenarioFormatError(f"y_pairs: expected 'y1,y0:prob', got {piece!r}",
+                                      entries.line("y_pairs"))
+        y_pairs.append(tuple(_float(entries, "y_pairs", y.strip()) for y in (y1, y0)))
+        pair_pmf.append(_float(entries, "y_pairs", prob.strip()))
 
     shape = (len(pi_support), len(y_pairs))
-    treat = _table(_pop_tables(entries, {"treat": shape})["treat"], "treat", shape, _number)
+    treat = _table(entries, _pop_tables(entries, {"treat": shape})["treat"], "treat", shape,
+                   float)
     _reject_unknown(entries)
     return PotentialOutcomeScenario(
         pi_support=pi_support,
@@ -282,18 +348,16 @@ def _build_potential_outcomes(entries: dict[str, _Entry]) -> PotentialOutcomeSce
     )
 
 
-def _build_family(entries, strata) -> CovariateFamily:
+def _build_family(entries: _Entries, strata) -> CovariateFamily:
     _reject_unknown(entries)
     if not strata:
         raise ScenarioFormatError("covariate_family requires at least one stratum block")
     built = []
     for label, weight, block, lineno in strata:
-        if "kind" in block:
-            value, line = block.pop("kind")
-            if value.strip() != "discrete":
-                raise ScenarioFormatError(
-                    f"stratum {label!r}: body must be discrete-kind", line
-                )
+        if "kind" in block and block.pop("kind") != "discrete":
+            raise ScenarioFormatError(
+                f"stratum {label!r}: body must be discrete-kind", block.line("kind")
+            )
         try:
             scenario = _build_discrete(block)
         except ScenarioFormatError as exc:
@@ -302,17 +366,10 @@ def _build_family(entries, strata) -> CovariateFamily:
     return CovariateFamily(strata=tuple(built))
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse scenario file content into a validated scenario object.
-
-    Raises ``ScenarioFormatError`` for syntax problems (with the offending
-    line) and ``InvariantViolation`` when values break a type constraint.
-    """
-    entries, strata = _scan(text)
+def _build(entries: _Entries, strata) -> Scenario:
     if "kind" not in entries:
         raise ScenarioFormatError("missing required key 'kind'")
-    kind, kind_line = entries.pop("kind")
-    kind = kind.strip()
+    kind = entries.pop("kind")
     if strata and kind != "covariate_family":
         raise ScenarioFormatError(
             f"stratum blocks are only valid for kind=covariate_family", strata[0][3]
@@ -325,7 +382,20 @@ def parse_scenario(text: str) -> Scenario:
         return _build_potential_outcomes(entries)
     if kind == "covariate_family":
         return _build_family(entries, strata)
-    raise ScenarioFormatError(f"unknown kind {kind!r}", kind_line)
+    raise ScenarioFormatError(f"unknown kind {kind!r}", entries.line("kind"))
+
+
+def parse_scenario(text: str) -> Scenario:
+    """Parse scenario file content into a validated scenario object.
+
+    Raises ``ScenarioFormatError`` for syntax problems (with the offending
+    line) and ``InvariantViolation`` when values break a type constraint.
+    """
+    try:
+        return _build(_bulk_entries(text), ())
+    except (_Walk, ScenarioFormatError):
+        pass  # the walk reads the file, and names its first fault in line order
+    return _build(*_scan(text))
 
 
 def load_scenario(path) -> Scenario:

@@ -450,3 +450,43 @@ def test_python_m_zbias_runs_in_process(monkeypatch, capsys, case1_file):
         runpy.run_module("zbias", run_name="__main__")
     assert info.value.code == 0
     assert capsys.readouterr().out.splitlines()[-1].split()[-1] == "YES"
+
+
+NO_NUMPY = """\
+import sys
+sys.modules["numpy"] = None  # every import of numpy now fails
+from zbias.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["mc", "scatter"])
+def test_monte_carlo_without_numpy_is_one_io_error(tmp_path, command):
+    out = tmp_path / "never.csv"
+    argv = [command, "--draws", "10", "--seed", "1"]
+    if command == "scatter":
+        argv += ["--out", str(out)]
+    cp = subprocess.run([sys.executable, "-c", NO_NUMPY, *argv], capture_output=True,
+                        text=True)
+    assert (cp.returncode, cp.stdout) == (2, "")
+    assert cp.stderr == f"error: {command} needs numpy, which is not installed\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("blocked, status, message", [
+    ("numpy", 2, "error: mc needs numpy, which is not installed\n"),
+    ("zbias.rng", 4, "error: internal: ModuleNotFoundError('import of zbias.rng halted; "
+                     "None in sys.modules')\n"),
+])
+def test_only_a_missing_numpy_is_an_io_error(monkeypatch, capsys, blocked, status, message):
+    import zbias
+    from zbias.cli import main
+
+    # Unload the Monte Carlo stack so that the command imports it again.
+    for name in ("montecarlo", "rng"):
+        monkeypatch.delitem(sys.modules, f"zbias.{name}", raising=False)
+        monkeypatch.delattr(zbias, name, raising=False)
+    monkeypatch.setitem(sys.modules, blocked, None)
+    assert main(["mc", "--draws", "10", "--seed", "1"]) == status
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)

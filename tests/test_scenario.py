@@ -357,3 +357,66 @@ def test_validation_names_first_bad_cell_in_row_major_order(data):
     else:
         name = "mean" if kind == "mean" else "treat"
         assert str(info.value) == _planted_error(name, picked[0], bad)
+
+
+def _law_world(law, binary=False, mean=None):
+    """A 2x2 discrete world with the outcome law ``law`` (cells in (a, u)
+    order) and, unless given, the means that the law implies."""
+    cells = [list(cell) for cell in law]
+    if mean is None:
+        mean = [math.fsum(v * p for v, p in cell) for cell in cells]
+    return dict(z_support=(0, 1), z_pmf=(0.5, 0.5), u_support=(0, 1), u_pmf=(0.5, 0.5),
+                treat=((0.2, 0.4), (0.6, 0.8)),
+                outcome_mean=[[mean[2 * a:2 * a + 2]] * 2 for a in (0, 1)],
+                outcome_law=[cells[:2], cells[2:]], binary_outcome=binary)
+
+
+COIN = ((0.0, 0.5), (1.0, 0.5))
+# Each law breaks exactly one rule that the one-pass test over the whole law
+# checks, and keeps every other, so that test alone must catch it.
+LAW_FAULTS = {
+    "mass sums past 1, mean kept": _law_world([COIN, COIN, ((0.0, 0.7), (1.0, 0.5)), COIN]),
+    "values tied": _law_world([COIN, ((1.0, 0.5), (1.0, 0.5)), COIN, COIN]),
+    "values falling": _law_world([COIN, COIN, COIN, ((1.0, 0.5), (0.0, 0.5))]),
+    "values tied, rising across cells": _law_world(
+        [COIN, ((2.0, 0.5), (2.0, 0.5)), ((3.0, 0.5), (4.0, 0.5)), ((5.0, 0.5), (6.0, 0.5))]),
+    "binary outcome off {0, 1}": _law_world(
+        [COIN, ((0.0, 0.75), (2.0, 0.25)), COIN, COIN], binary=True),
+    "negative mass": _law_world(
+        [((0.0, 0.25), (1.0, 1.0), (2.0, -0.25))] + [((0.0, 0.5), (1.0, 0.0), (2.0, 0.5))] * 3),
+    "law mean off": _law_world([COIN] * 4, mean=[0.5, 0.5, 0.5, 0.5 + 1e-6]),
+    "arms of 3 and 1 cells": {**_law_world([COIN] * 4), "outcome_law": [[COIN] * 3, [COIN]]},
+    "three arms": {**_law_world([COIN] * 4), "outcome_law": [[COIN] * 2] * 3},
+    "a cell of pairs of 3": _law_world(
+        [COIN, COIN, COIN, ((0.0, 0.5, 9.0), (1.0, 0.5, 9.0))], mean=[0.5] * 4),
+    "valid, cells of 2 and 3 points": _law_world(
+        [COIN, ((0.0, 0.25), (1.0, 0.5), (2.0, 0.25)), COIN, COIN]),
+    "valid": _law_world([COIN] * 4),
+}
+
+
+@pytest.mark.parametrize("name", LAW_FAULTS)
+def test_outcome_law_checks_match_reference(name):
+    import reference_scenario
+
+    kwargs = LAW_FAULTS[name]
+
+    def outcome(cls):
+        try:
+            return "ok", repr(cls(**kwargs))
+        except Exception as exc:  # the comparison is the point, whatever is raised
+            return type(exc), str(exc)
+
+    expected = outcome(reference_scenario.DiscreteScenario)
+    assert outcome(DiscreteScenario) == expected
+    assert (expected[0] == "ok") == name.startswith("valid")
+
+
+def test_one_shot_iterables_build_the_same_scenario():
+    # The one-pass table tests read only tuples and lists, which can be
+    # iterated again by the row walk; anything else goes to the walk whole.
+    kwargs = LAW_FAULTS["valid"]
+    lazy = dict(kwargs, treat=[iter(row) for row in kwargs["treat"]],
+                outcome_mean=[[iter(row) for row in arm] for arm in kwargs["outcome_mean"]],
+                outcome_law=(iter(arm) for arm in kwargs["outcome_law"]))
+    assert DiscreteScenario(**lazy) == DiscreteScenario(**kwargs)

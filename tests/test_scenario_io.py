@@ -219,6 +219,13 @@ def test_unterminated_stratum():
         parse_scenario(bad)
 
 
+def test_stratum_weight_must_be_a_number():
+    bad = FAMILY_TEXT.replace("begin stratum old 0.7", "begin stratum old 0.7x")
+    with pytest.raises(ScenarioFormatError,
+                       match=r"^line 20: stratum weight: not a number: '0\.7x'$"):
+        parse_scenario(bad)
+
+
 def test_comments_and_blank_lines_ignored():
     text = "\n\n# header\nkind = binary  # trailing\n" + CASE1_TEXT.split("\n", 2)[2]
     s = parse_scenario(text)
@@ -370,7 +377,8 @@ def test_table_reraises_a_fault_the_walk_does_not_meet():
         return float(text)
 
     with pytest.raises(ValueError, match="^first call$"):
-        scenario_io._table(({"t[0]": ("0.5", 3)}, {}), "t", (1,), fails_once)
+        scenario_io._table(scenario_io._Entries(), (["t[0]"], ["0.5"], {}), "t", (1,),
+                           fails_once)
     assert calls == ["0.5", "0.5"]
 
 

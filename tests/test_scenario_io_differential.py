@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_scenario_io as reference
-from test_scenario_io import DISCRETE_TEXT
-from zbias import ScenarioFormatError, parse_scenario
+from test_scenario_io import DISCRETE_TEXT, FAMILY_TEXT, PO_TEXT
+from zbias import InvariantViolation, ScenarioFormatError, parse_scenario
 
 _INDEXED = re.compile(r"^(\w+)((?:\[\d+\])+) = (.*)$")
 
@@ -240,6 +240,10 @@ PRECEDENCE_CASES = {
     ) + "\nlaw[3][0] = 0:1\n",
     "depth before missing": _edit(
         _edit(DISCRETE_TEXT, "mean[1][0][0] = 0.06", "mean[1][0] = 0.06"), "treat[0][0] = 0.1\n", ""),
+    "bad later spelling": _edit(DISCRETE_TEXT, "mean[0][0][0] = 0.01",
+                                "mean[0][0][0] = 0.01\ntreat[00][1] = x"),
+    "two later spellings": _edit(DISCRETE_TEXT, "treat[1][0] = 0.6",
+                                 "treat[01][0] = x\ntreat[001][0] = y"),
 }
 
 
@@ -248,3 +252,121 @@ def test_error_precedence_matches_reference(text):
     outcome = _outcome(parse_scenario, text)
     assert outcome[0] is ScenarioFormatError
     assert outcome == _outcome(reference.parse_scenario, text)
+
+
+# Line shapes a whole-file pass can get wrong: every line boundary that
+# str.splitlines knows besides "\n" and "\r\n", blank and whitespace-only
+# lines, "=" where it does not belong, Unicode spaces around keys and
+# values, a missing final newline, and a key that is malformed only after
+# its canonical-looking prefix.
+BOUNDARIES = ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+BINARY_LINES = [f"{key} = {value}" for key, value in zip(
+    ("kind", "pZ", "pU", "p11", "p10", "p01", "p00", "r11", "r10", "r01", "r00"),
+    ("binary", 0.5, 0.5, 0.8, 0.6, 0.2, 0.1, 0.08, 0.06, 0.02, 0.01))]
+BASES = {"binary": BINARY_LINES, "discrete": DISCRETE_TEXT.splitlines(),
+         "potential_outcomes": PO_TEXT.splitlines()}
+
+
+def _bench_shaped_world(rnd, n_z=32, n_u=16):
+    """A discrete world as the benchmark writes them: tied treatment rows,
+    outcome means constant in z and a binary outcome law."""
+    treat = []
+    for i in range(n_z):
+        treat.append(treat[rnd.randrange(i)] if i and rnd.random() < 0.25
+                     else [rnd.uniform(0.05, 0.95) for _ in range(n_u)])
+    means = [[rnd.uniform(0.02, 0.98) for _ in range(n_u)] for _ in (0, 1)]
+    lines = ["kind = discrete", f"z_support = {_csv(range(n_z))}",
+             f"z_pmf = {_csv(_pmf(rnd, n_z))}", f"u_support = {_csv(range(n_u))}",
+             f"u_pmf = {_csv(_pmf(rnd, n_u))}", "binary_outcome = true"]
+    lines += [f"treat[{i}][{j}] = {treat[i][j]!r}" for i in range(n_z) for j in range(n_u)]
+    lines += [f"mean[{a}][{i}][{j}] = {means[a][j]!r}"
+              for a in (0, 1) for i in range(n_z) for j in range(n_u)]
+    lines += [f"law[{a}][{j}] = 0.0:{1.0 - means[a][j]!r}, 1.0:{means[a][j]!r}"
+              for a in (0, 1) for j in range(n_u)]
+    return lines
+
+
+def _line_shape_cases():
+    cases = {}
+    for name, lines in BASES.items():
+        for end in BOUNDARIES:
+            cases[f"{name} ends {end!r}"] = end.join(lines) + end
+        mixed = "".join(line + BOUNDARIES[n % len(BOUNDARIES)] for n, line in enumerate(lines))
+        cases[f"{name} mixed ends"] = mixed
+        cases[f"{name} no final newline"] = "\n".join(lines)
+        cases[f"{name} blank lines"] = "\n".join(
+            [lines[0], "", *lines[1:3], "   \t", *lines[3:], "\u3000"]) + "\n"
+        cases[f"{name} bare ="] = "\n".join([*lines[:2], "=", *lines[2:]]) + "\n"
+        cases[f"{name} = in last value"] = "\n".join(lines) + "=0.5\n"
+        cases[f"{name} = in kind"] = "\n".join([lines[0] + " = x", *lines[1:]]) + "\n"
+        for space in ("\xa0", "\u3000", "\t", " \t "):
+            cases[f"{name} {space!r} around"] = "\n".join(
+                space + key + space + "=" + space + value + space
+                for key, _, value in (line.partition(" = ") for line in lines)) + "\n"
+    cases["empty text"] = ""
+    cases["blank text"] = " \n\t\n"
+    cases["discrete = in law"] = DISCRETE_TEXT.replace("1:0.01", "1=0.01")
+    cases["malformed key treat[00][0x"] = DISCRETE_TEXT.replace(
+        "treat[0][0] = 0.1", "treat[00][0x = 0.1")
+    cases["malformed key and bad number"] = DISCRETE_TEXT.replace(
+        "z_pmf = 0.5, 0.5", "z_pmf = 0.5, x") + "9lives = 1\n"
+    cases["malformed key and missing cell"] = DISCRETE_TEXT.replace(
+        "treat[1][1] = 0.8\n", "") + "9lives = 1\n"
+    cases["law values empty"] = re.sub(r"(law\[\d\]\[\d\] =).*", r"\1", DISCRETE_TEXT)
+    cases["key alone, then two ="] = "\n".join(BINARY_LINES[:-1]) + "\nbinary_outcome\ntrue = r00 = 0.01\n"
+    rnd = random.Random(21)
+    bench = _bench_shaped_world(rnd)
+    cases["bench-shaped 32x16"] = "\n".join(bench) + "\n"
+    cases["bench-shaped 32x16 shuffled"] = "\n".join(rnd.sample(bench, len(bench))) + "\n"
+    cases["bench-shaped 32x16 law unordered"] = "\n".join(bench).replace(
+        "law[1][15] = 0.0:", "law[1][15] = 0.0:0.5, 1.0:0.5, 2.0:") + "\n"
+    cases["bench-shaped 32x16 law mean off"] = re.sub(
+        r"law\[0\]\[7\] = .*", "law[0][7] = 0.0:0.995, 1.0:0.005", "\n".join(bench)) + "\n"
+    return cases
+
+
+LINE_SHAPE_CASES = _line_shape_cases()
+
+
+@pytest.mark.parametrize("text", LINE_SHAPE_CASES.values(), ids=LINE_SHAPE_CASES.keys())
+def test_line_shapes_match_reference(text):
+    assert _outcome(parse_scenario, text) == _outcome(reference.parse_scenario, text)
+
+
+def test_line_shape_cases_reach_both_outcomes():
+    outcomes = [_outcome(parse_scenario, text)[0] for text in LINE_SHAPE_CASES.values()]
+    assert outcomes.count("ok") >= 50
+    assert outcomes.count(ScenarioFormatError) >= 15
+    assert outcomes.count(InvariantViolation) >= 2
+
+
+WALKED = {
+    "comment": DISCRETE_TEXT + "# a note\n",
+    "blank line": DISCRETE_TEXT + "\n\n",
+    "duplicate key": DISCRETE_TEXT + "z_pmf = 0.5, 0.5\n",
+    "leading zero": DISCRETE_TEXT.replace("treat[1][0]", "treat[01][0]"),
+    "stratum blocks": FAMILY_TEXT,
+    "bad number": DISCRETE_TEXT.replace("treat[0][1] = 0.2", "treat[0][1] = x"),
+}
+
+
+def test_files_as_serialized_skip_the_walk(monkeypatch):
+    from zbias import scenario_io
+
+    def no_walk(text):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(scenario_io, "_scan", no_walk)
+    for lines in (*BASES.values(), _bench_shaped_world(random.Random(3))):
+        parse_scenario("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("text", WALKED.values(), ids=WALKED.keys())
+def test_other_files_are_walked(monkeypatch, text):
+    from zbias import scenario_io
+
+    walked = []
+    scan = scenario_io._scan
+    monkeypatch.setattr(scenario_io, "_scan", lambda t: walked.append(t) or scan(t))
+    assert _outcome(parse_scenario, text) == _outcome(reference.parse_scenario, text)
+    assert walked == [text]
