@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from math import fsum
 
 from .errors import (
+    DegeneratePopulationError,
     InvariantViolation,
     NonBinaryOutcomeError,
     NonpositiveCellError,
@@ -253,8 +254,16 @@ def fit_multiplicative(s: DiscreteScenario) -> MultiplicativeDecomposition:
                     f"treat[{i}][{j}] = {s.treat[i][j]!r}: multiplicative fit "
                     "needs strictly positive cells"
                 )
-    return _fit_treatment(s, MultiplicativeDecomposition, operator.truediv,
+    return _fit_treatment(s, MultiplicativeDecomposition, _ratio_to_treated,
                           lambda t, pi, g: t - pi * g)
+
+
+def _ratio_to_treated(p: float, f: float) -> float:
+    # Positive cells can still give Pr(A=1) = 0.0 when their products underflow.
+    if f == 0.0:
+        raise DegeneratePopulationError(
+            f"Pr(A=1) = {f!r}: multiplicative fit needs a treated population")
+    return p / f
 
 
 def _monotone_effect_checks(s: DiscreteScenario, dec):

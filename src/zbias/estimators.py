@@ -24,7 +24,7 @@ stratum per pi.  Slots are differences, or ratios, of moment pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring, encode_basestring_ascii
 from math import fsum, isfinite
 from typing import Literal
@@ -423,15 +423,9 @@ def dce(
         ]
         for a in (0, 1)
     ]
-    dichotomized = DiscreteScenario(
-        z_support=s.z_support,
-        z_pmf=s.z_pmf,
-        u_support=s.u_support,
-        u_pmf=s.u_pmf,
-        treat=s.treat,
-        outcome_mean=tuple(
-            tuple(tuple(tail[a]) for _ in range(s.n_z)) for a in (0, 1)
-        ),
+    dichotomized = replace(
+        s,
+        outcome_mean=tuple(tuple(tuple(tail[a]) for _ in range(s.n_z)) for a in (0, 1)),
         outcome_law=None,
         binary_outcome=True,
     )

@@ -40,7 +40,6 @@ SCATTER_HEADER = ",".join((*_BINARY_KEYS, "bias_adj", "bias_unadj", "zbias"))
 
 _CHUNK = 1 << 15
 _BLOCK = 1 << 13
-_FILTERS = (("cor1",), ("cor2",))
 _FETCH_WIDTH = 2048
 
 
@@ -202,6 +201,11 @@ def _project_cor2(rows: np.ndarray, seed: int, start: int) -> None:
     _sort_outcome_means(rows)
 
 
+# The one list of filters: name -> in-place projection (cor2 ignores seed, start).
+_PROJECTIONS = {"cor1": _project_cor1, "cor2": _project_cor2}
+_FILTERS = tuple((name,) for name in _PROJECTIONS)
+
+
 def _fresh_triples(seed: int, indices: np.ndarray, attempt: int, width: int) -> np.ndarray:
     # Attempts [attempt, attempt + width) of each draw, draw-major.  Projection
     # retries live after the degeneracy retries in the draw's retry region;
@@ -237,10 +241,7 @@ def _chunk_draws(cfg: McConfig, start: int, count: int) -> tuple[np.ndarray, lis
     # in draw order whichever thread or process made the chunk.
     rows, redraws = _param_draws(cfg.seed, start, count)
     if cfg.filter:
-        if cfg.filter[0] == "cor1":
-            _project_cor1(rows, cfg.seed, start)
-        else:
-            _project_cor2(rows, cfg.seed, start)
+        _PROJECTIONS[cfg.filter[0]](rows, cfg.seed, start)
     return rows, redraws
 
 

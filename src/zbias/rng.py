@@ -20,11 +20,11 @@ Block numbers are the counters handed to ``np.random.Philox(counter=c)``,
 which increments before it generates: "block c" is the output of the
 Philox function at counter c + 1.
 
-Two routes compute the same function.  The primary region, read in long
-contiguous runs, goes through numpy's C ``Philox`` bit generator.  The retry
-region, read a few scattered blocks at a time for many draws at once, goes
-through ``philox4x64``, a numpy transcription that evaluates any set of
-counters in one vectorised call.
+Two routes compute the same function, one per read pattern.  Contiguous
+reads (a run of draws, or one whole retry attempt) go through numpy's C
+``Philox`` bit generator.  Scattered first blocks of retry attempts, read
+for many draws at once, go through ``philox4x64``, a numpy transcription
+that evaluates any set of counters in one vectorised call.
 
 Uniform doubles are the standard 53-bit mapping of one 64-bit word each,
 ``(word >> 11) * 2**-53``, so they lie in [0, 1); a value can be exactly 0.0
@@ -104,25 +104,25 @@ def primary_uniforms(seed: int, start_draw: int, n_draws: int) -> np.ndarray:
     return gen.random(n_draws * DOUBLES_PER_DRAW).reshape(n_draws, DOUBLES_PER_DRAW)
 
 
-def retry_block_uniforms(seed: int, draw_indices, attempts, blocks: int = 1) -> np.ndarray:
-    """The first ``4 * blocks`` doubles of retry attempt ``attempts[k]`` of
-    draw ``draw_indices[k]``, one row per k.
+def retry_block_uniforms(seed: int, draw_indices, attempts) -> np.ndarray:
+    """The first block (4 doubles) of retry attempt ``attempts[k]`` of draw
+    ``draw_indices[k]``, one row per k.
 
     Only the requested blocks are generated.  Counters are built in 64-bit
     words, so draw indices must stay below 2**64 - 1 and attempts below
     2**61 (far beyond any reachable run).
     """
-    # Attempt a of draw i reads blocks ((i + 1) << 64) + 4a + b, b < blocks,
-    # which the generator emits from counter words (4a + b + 1, i + 1, 0, 0).
-    draws = np.asarray(draw_indices, dtype=np.uint64)
-    first = np.asarray(attempts, dtype=np.uint64) * np.uint64(BLOCKS_PER_DRAW) + np.uint64(1)
-    counters = np.zeros((draws.size, blocks, 4), dtype=np.uint64)
-    counters[:, :, 0] = first[:, None] + np.arange(blocks, dtype=np.uint64)
-    counters[:, :, 1] = (draws + np.uint64(1))[:, None]
-    words = philox4x64(seed, counters.reshape(-1, 4))
-    return _to_unit(words).reshape(draws.size, 4 * blocks)
+    # Attempt a of draw i starts at block ((i + 1) << 64) + 4a, which the
+    # generator emits from counter words (4a + 1, i + 1, 0, 0).
+    attempts = np.asarray(attempts, dtype=np.uint64)
+    counters = np.zeros((attempts.size, 4), dtype=np.uint64)
+    counters[:, 0] = attempts * np.uint64(BLOCKS_PER_DRAW) + np.uint64(1)
+    counters[:, 1] = np.asarray(draw_indices, dtype=np.uint64) + np.uint64(1)
+    return _to_unit(philox4x64(seed, counters))
 
 
 def retry_uniforms(seed: int, draw_index: int, attempt: int) -> np.ndarray:
     """The 16 doubles of the given retry attempt (0-based) for one draw."""
-    return retry_block_uniforms(seed, [draw_index], [attempt], BLOCKS_PER_DRAW)[0]
+    counter = ((draw_index + 1) << 64) + BLOCKS_PER_DRAW * attempt
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=counter))
+    return gen.random(DOUBLES_PER_DRAW)

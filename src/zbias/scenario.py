@@ -14,7 +14,7 @@ pure function of its inputs, so unrestricted concurrent use is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from math import fsum
 from operator import lt, mul, sub
@@ -568,16 +568,10 @@ def collapse_by_propensity(
         treat_rows.append(treat_row)
         mean_rows.append(means)
 
-    return DiscreteScenario(
+    return replace(
+        scenario,
         z_support=tuple(support),
         z_pmf=tuple(pmf),
-        u_support=scenario.u_support,
-        u_pmf=scenario.u_pmf,
         treat=tuple(treat_rows),
-        outcome_mean=(
-            tuple(m[0] for m in mean_rows),
-            tuple(m[1] for m in mean_rows),
-        ),
-        outcome_law=scenario.outcome_law,
-        binary_outcome=scenario.binary_outcome,
+        outcome_mean=(tuple(m[0] for m in mean_rows), tuple(m[1] for m in mean_rows)),
     )

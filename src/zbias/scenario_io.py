@@ -399,8 +399,9 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Read and parse a scenario file from disk; a file that is not UTF-8
-    raises ``ScenarioFormatError`` naming the line of its first bad byte."""
+    """Read and parse a scenario file from disk; one leading byte-order mark
+    is dropped, and a file that is not UTF-8 raises ``ScenarioFormatError``
+    naming the line of its first bad byte."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
@@ -409,7 +410,7 @@ def load_scenario(path) -> Scenario:
         # Lines are counted as parse_scenario splits them.
         line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
         raise ScenarioFormatError("not valid UTF-8 text", line) from None
-    return parse_scenario(text)
+    return parse_scenario(text.removeprefix("\ufeff"))
 
 
 def _format_list(values) -> str:

@@ -407,6 +407,26 @@ def test_scatter_non_utf8_path_is_ascii_escaped_in_process(tmp_path, monkeypatch
     assert os.path.exists(os.fsencode(out))
 
 
+@pytest.mark.parametrize("argv", [["eval"], ["check", "--theorem", "thm1"]])
+def test_byte_order_mark_is_ignored(tmp_path, capsys, argv):
+    # The README quick-start file, as PowerShell 5.1's Out-File -Encoding utf8
+    # writes it: a UTF-8 byte-order mark, then the text.
+    from test_readme import README
+    from zbias.cli import main
+
+    text = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+    outputs = []
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        path = tmp_path / f"{name}.scn"
+        path.write_bytes(data)
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert text.startswith("kind = binary\n")
+    assert outputs[0] == outputs[1]
+
+
 # Two strata whose weights sum to 1 + 9e-10, inside the validation
 # tolerance, each with Pr(A=1) just below 1: the weighted Pr(A=1) is above 1.
 HEAVY_FAMILY_STRATUM = """\

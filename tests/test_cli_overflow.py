@@ -112,6 +112,16 @@ def test_non_utf8_file_names_the_line(capsys, tmp_path):
     assert (code, err) == (1, "error: line 2: not valid UTF-8 text\n")
 
 
+def test_non_utf8_line_after_a_byte_order_mark_keeps_its_number(capsys, tmp_path):
+    code, err = _run(capsys, tmp_path, b"\xef\xbb\xbfkind = binary\npZ = 0.5 # \xff\n", "eval")
+    assert (code, err) == (1, "error: line 2: not valid UTF-8 text\n")
+
+
+def test_parse_error_after_a_byte_order_mark_keeps_its_line(capsys, tmp_path):
+    code, err = _run(capsys, tmp_path, "\ufeffkind = binary\npZ 0.5\n", "eval")
+    assert (code, err) == (1, "error: line 2: expected 'key = value', got 'pZ 0.5'\n")
+
+
 def test_non_utf8_line_is_counted_as_the_parser_counts(capsys, tmp_path):
     # CRLF and a lone CR end one line each, as in parse_scenario.
     code, err = _run(capsys, tmp_path, b"kind = binary\r\n\rpZ = 0.5\n\xc3\n", "eval")

@@ -639,6 +639,41 @@ def test_cor4_denominator_underflow_is_one_error_line(tmp_path, capsys):
     assert captured.err == "error: theta undefined at pi = 1e-300: t10*t01 = 0\n"
 
 
+def _subnormal_treat_text(z_pmf, u_pmf):
+    """A discrete world whose every treatment cell is the smallest subnormal."""
+    cells = [(i, j) for i in range(len(z_pmf)) for j in range(len(u_pmf))]
+    return (
+        f"kind = discrete\nz_support = {', '.join(str(i) for i in range(len(z_pmf)))}\n"
+        f"z_pmf = {', '.join(z_pmf)}\n"
+        f"u_support = {', '.join(str(j) for j in range(len(u_pmf)))}\n"
+        f"u_pmf = {', '.join(u_pmf)}\n"
+        + "".join(f"treat[{i}][{j}] = 5e-324\n" for i, j in cells)
+        + "".join(f"mean[{a}][{i}][{j}] = 0.5\n" for a in (0, 1) for i, j in cells)
+    )
+
+
+# Every cell is positive, but each pmf * 5e-324 product rounds to 0.0, so
+# Pr(A=1) = 0.0: the multiplicative fit has no treated population to divide by.
+@pytest.mark.parametrize("theorem", ["thm3", "collider"])
+@pytest.mark.parametrize(
+    "z_pmf, u_pmf", [(("0.5", "0.5"), ("1",)), (("1",), ("0.5", "0.5"))],
+    ids=["two-z", "one-z"],
+)
+def test_underflowed_treated_fraction_is_a_degenerate_population(
+    tmp_path, capsys, theorem, z_pmf, u_pmf
+):
+    path = tmp_path / "subnormal.scn"
+    path.write_text(_subnormal_treat_text(z_pmf, u_pmf))
+    assert main(["check", str(path), "--theorem", theorem]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if len(z_pmf) == 2 or theorem == "thm3":
+        assert captured.err == (
+            "error: Pr(A=1) = 0.0: multiplicative fit needs a treated population\n"
+        )
+
+
 # Outcome means of +-1.7e308 across u: every slack across u overflows to
 # -inf, which strict JSON cannot spell.
 OVERFLOW_TEXT = """\

@@ -34,7 +34,7 @@ from zbias import (
     serialize_scenario,
     zbias_verdict,
 )
-from zbias import montecarlo
+from zbias import cli, montecarlo
 from zbias.cli import main
 from zbias.montecarlo import (
     _chunk_draws,
@@ -180,6 +180,13 @@ def test_config_rejects_non_integer_counts(field, kwargs):
 def test_config_takes_one_filter_spelling(spelling):
     with pytest.raises(InvariantViolation, match="^filter: must be None, "):
         McConfig(draws=10, seed=1, filter=spelling)
+
+
+def test_cli_filter_choices_are_the_projections():
+    # The CLI stays numpy-free, so it spells the filter names itself.
+    (commands,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    (action,) = [a for a in commands.choices["mc"]._actions if a.dest == "filter"]
+    assert set(action.choices) == set(montecarlo._PROJECTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +442,8 @@ def test_cor1_projection_skips_exact_zero_retries(monkeypatch):
 
     real = montecarlo.retry_block_uniforms
 
-    def patched(seed_, indices, attempts, blocks=1):
-        out = real(seed_, indices, attempts, blocks)
+    def patched(seed_, indices, attempts):
+        out = real(seed_, indices, attempts)
         for k, pair in enumerate(zip(np.asarray(indices).tolist(),
                                      np.asarray(attempts).tolist())):
             if pair in zeroed:
@@ -476,8 +483,8 @@ def _forced_projection(monkeypatch, forced, seed=8, start=0, count=400):
     real = montecarlo.retry_block_uniforms
     calls = []
 
-    def patched(seed_, indices, attempts, blocks=1):
-        out = real(seed_, indices, attempts, blocks)
+    def patched(seed_, indices, attempts):
+        out = real(seed_, indices, attempts)
         pairs = list(zip(np.asarray(indices).tolist(), np.asarray(attempts).tolist()))
         calls.append(pairs)
         for k, pair in enumerate(pairs):
