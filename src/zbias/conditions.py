@@ -5,14 +5,21 @@ minimal slack (``margin``, negative exactly when violated) and a witness per
 violated cell.  Monotonicity is always weak and evaluated over the declared
 support order with tolerance 1e-12; model-fit residuals and positivity use
 the looser validation tolerance 1e-9.
+
+A report is built from runs ``(cell, lhs, rhs, slack)``, each one comparison
+(a cell string and three floats) or whole columns of them under one
+``(template, labels, at)`` cell.  The margin is one ``min`` over the slacks,
+and only the violated comparisons of a violated report get a cell string.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+from bisect import bisect_right
 from dataclasses import dataclass
-from math import fsum
+from itertools import accumulate, chain, repeat
+from math import fsum, isfinite
+from operator import attrgetter, mul, neg, sub, truediv
 
 from .errors import (
     DegeneratePopulationError,
@@ -23,7 +30,8 @@ from .errors import (
     UndefinedConditionalError,
     ZeroDenominatorError,
 )
-from .estimators import EstimateSet, _json_num, _json_str, _mu_values, _pi_covariance, _po_strata
+from .estimators import (_NUMBER, EstimateSet, _json_num, _json_str, _mu_values,
+                         _pi_covariance, _po_strata)
 from .scenario import (
     IDENTITY_TOL,
     VALIDATION_TOL,
@@ -46,6 +54,10 @@ class Witness:
     rhs: float
 
 
+# A witness's JSON object, its numbers written as ``_json_num`` writes them.
+_WITNESS = '{"cell": %%s, "lhs": %s, "rhs": %s}' % (_NUMBER, _NUMBER)
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     condition_id: str
@@ -66,11 +78,16 @@ class ConditionReport:
     def to_json(self) -> str:
         """One JSON object; an infinite margin (nothing to compare) is
         written as ``null``, since JSON has no infinity."""
-        cells = ", ".join(
-            '{"cell": %s, "lhs": %s, "rhs": %s}'
-            % (_json_str(w.cell), _json_num(w.lhs), _json_num(w.rhs))
-            for w in self.witnesses
-        )
+        witnesses = self.witnesses
+        if len(witnesses) < 8:  # one % per witness beats the whole-list pass
+            cells = ", ".join([_WITNESS % (_json_str(w.cell), w.lhs, w.rhs) for w in witnesses])
+        else:
+            fields = list(chain.from_iterable(map(attrgetter("cell", "lhs", "rhs"), witnesses)))
+            fields[::3] = map(_json_str, fields[::3])
+            cells = ", ".join([_WITNESS] * len(witnesses)) % tuple(fields)
+        if "inf" in cells or "nan" in cells:  # how %.17g spells a non-finite number
+            for w in witnesses:  # _json_num raises for the first one
+                _json_num(w.lhs), _json_num(w.rhs)
         margin = "null" if self.margin == math.inf else _json_num(self.margin)
         return (
             '{"condition_id": %s, "holds": %s, "margin": %s, "witnesses": [%s]}'
@@ -85,54 +102,69 @@ def reports_to_json(reports) -> str:
     return "[" + ", ".join(r.to_json() for r in reports) + "]"
 
 
-def _report(condition_id: str, checks) -> ConditionReport:
-    """Build a report from (cell, lhs, rhs, slack) comparisons, each made by
-    ``_at_least``, ``_at_most`` or ``_equal``.
-
-    A comparison is violated when its slack drops below -1e-12; the margin
-    is the minimal slack (infinite when there is nothing to compare, and
-    then ``null`` in JSON).  An infinite margin over finite compared values
-    is an overflow and raises InvariantViolation.  A cell is a string, or a
-    (format, lo, hi) triple formatted only when its comparison is violated.
-    """
-    checks = list(checks)
-    witnesses = tuple(
-        Witness(cell if isinstance(cell, str) else cell[0].format(lo=cell[1], hi=cell[2]),
-                lhs, rhs)
-        for cell, lhs, rhs, slack in checks if slack < -IDENTITY_TOL
-    )
-    margin = min((slack for *_rest, slack in checks), default=math.inf)
-    if margin == math.inf and any(
-        math.isfinite(lhs) and math.isfinite(rhs) for _cell, lhs, rhs, _slack in checks
-    ):
+def _report(condition_id: str, runs: list) -> ConditionReport:
+    """A report over runs made by ``_at_least``, ``_at_most`` or ``_equal``.
+    A slack below -1e-12 is a violation; the margin is the least slack, or
+    infinity (``null`` in JSON) with nothing to compare.  An infinite margin
+    over finite compared values is an overflow and raises InvariantViolation."""
+    slacks = []
+    for cell, _lhs, _rhs, slack in runs:
+        slacks += [slack] if type(cell) is str else slack
+    margin = min(slacks, default=math.inf)
+    witnesses = ()
+    if not margin >= -IDENTITY_TOL:  # a NaN margin can hide a violation
+        witnesses = tuple(_witnesses(runs))
+    elif margin == math.inf and any(
+            isfinite(lhs) and isfinite(rhs) for cell, *pair, _slack in runs
+            for lhs, rhs in ([pair] if type(cell) is str else zip(*pair))):
         raise InvariantViolation(f"margin {margin!r} is not finite", field=condition_id)
     return ConditionReport(condition_id, not witnesses, margin, witnesses)
 
 
-def _at_least(cell, lhs: float, rhs: float):
-    """The comparison lhs >= rhs, with slack lhs - rhs."""
-    return cell, lhs, rhs, lhs - rhs
+def _witnesses(runs) -> list:
+    """A Witness per violated comparison, in order.  Cell k of a run is its
+    template with ``at`` (a number) and with labels k and k + 1 as ``lo``
+    and ``hi``; each label sequence is formatted once."""
+    witnesses, texts, floor = [], {}, -IDENTITY_TOL
+    for cell, lhs, rhs, slack in runs:
+        if type(cell) is str:
+            witnesses += [Witness(cell, lhs, rhs)] if slack < floor else []
+        elif hits := [k for k, x in enumerate(slack) if x < floor]:
+            template, labels, at = cell
+            text = texts.get(id(labels)) or texts.setdefault(id(labels), [*map(str, labels)])
+            cell = template.replace("%", "%%").format(at=at, lo="%s", hi="%s")
+            witnesses += [_witness(cell % (text[k], text[k + 1]), lhs[k], rhs[k]) for k in hits]
+    return witnesses
 
 
-def _at_most(cell, lhs: float, rhs: float):
-    """The comparison lhs <= rhs, with slack rhs - lhs."""
-    return cell, lhs, rhs, rhs - lhs
+def _witness(cell: str, lhs: float, rhs: float) -> Witness:
+    # Witness(cell, lhs, rhs) without the frozen __init__'s object.__setattr__ calls.
+    witness = object.__new__(Witness)
+    fields = witness.__dict__
+    fields["cell"], fields["lhs"], fields["rhs"] = cell, lhs, rhs
+    return witness
 
 
-def _equal(cell, lhs: float, rhs: float):
-    """The comparison lhs == rhs, with slack -|lhs - rhs|."""
-    return cell, lhs, rhs, -abs(lhs - rhs)
+def _at_least(cell, lhs, rhs):
+    """The comparisons lhs >= rhs, with slack lhs - rhs: one (a cell string
+    and two floats) or a run (a (template, labels, at) cell and two columns)."""
+    return cell, lhs, rhs, lhs - rhs if type(cell) is str else list(map(sub, lhs, rhs))
 
 
-def _nondecreasing(values, labels, cell_fmt):
-    """Comparisons requiring values to be weakly increasing along labels."""
-    for (v0, v1), (l0, l1) in zip(zip(values, values[1:]), zip(labels, labels[1:])):
-        yield _at_least((cell_fmt, l0, l1), v1, v0)
+def _at_most(cell, lhs, rhs):
+    """The comparisons lhs <= rhs, with slack rhs - lhs."""
+    return cell, lhs, rhs, rhs - lhs if type(cell) is str else list(map(sub, rhs, lhs))
 
 
-def _nonincreasing(values, labels, cell_fmt):
-    for (v0, v1), (l0, l1) in zip(zip(values, values[1:]), zip(labels, labels[1:])):
-        yield _at_least((cell_fmt, l0, l1), v0, v1)
+def _equal(cell, lhs, rhs):
+    """The comparisons lhs == rhs, with slack -|lhs - rhs|."""
+    return cell, lhs, rhs, (-abs(lhs - rhs) if type(cell) is str
+                            else list(map(neg, map(abs, map(sub, lhs, rhs)))))
+
+
+def _nondecreasing(values, labels, template, at=None):
+    """A one-run list requiring values to be weakly increasing along labels."""
+    return [_at_least((template, labels, at), values[1:], values[:-1])]
 
 
 def _treated_prob_by_u(s: DiscreteScenario) -> list[float]:
@@ -146,28 +178,20 @@ def _outcome_mean_by_u(s: DiscreteScenario, arm: int) -> list[float]:
     if not s.outcome_mean_depends_on_z():
         return list(s.outcome_mean[arm][0])
     values = []
-    for j in range(s.n_u):
-        weights = [
-            s.z_pmf[i] * (s.treat[i][j] if arm == 1 else 1.0 - s.treat[i][j])
-            for i in range(s.n_z)
-        ]
+    for u, column, means in zip(s.u_support, zip(*s.treat), zip(*s.outcome_mean[arm])):
+        weights = list(map(mul, s.z_pmf, column if arm == 1 else map(sub, repeat(1.0), column)))
         total = fsum(weights)
         if total <= 0.0:
             raise UndefinedConditionalError(
-                f"E(Y|A={arm}, U={s.u_support[j]!r}) undefined: empty conditioning event"
-            )
-        values.append(
-            _total([w * s.outcome_mean[arm][i][j] for i, w in enumerate(weights)]) / total
-        )
+                f"E(Y|A={arm}, U={u!r}) undefined: empty conditioning event")
+        values.append(_total(list(map(mul, weights, means))) / total)
     return values
 
 
-def _outcome_by_u_checks(s: DiscreteScenario):
+def _outcome_by_u_checks(s: DiscreteScenario) -> list:
     """E(Y|A=a,U=u) non-decreasing in u, for both arms."""
-    for arm in (0, 1):
-        yield from _nondecreasing(
-            _outcome_mean_by_u(s, arm), s.u_support, f"E(Y|A={arm},U): u {{lo}}->{{hi}}"
-        )
+    return [run for arm in (0, 1) for run in _nondecreasing(
+        _outcome_mean_by_u(s, arm), s.u_support, f"E(Y|A={arm},U): u {{lo}}->{{hi}}")]
 
 
 def check_thm1(s: DiscreteScenario) -> list[ConditionReport]:
@@ -189,15 +213,11 @@ def check_thm1(s: DiscreteScenario) -> list[ConditionReport]:
 def _outcome_by_z_report(condition_id: str, s: DiscreteScenario) -> ConditionReport:
     """E(Y|A=a,Z=z) non-increasing in z for both arms, over the
     positive-mass levels where it is defined."""
-    strata = _mu_values(s)
-    labels = [z for z, _w, _pi, _mu0, _mu1 in strata]
-    checks = []
-    for arm in (0, 1):
-        values = [(mu0, mu1)[arm] for _z, _w, _pi, mu0, mu1 in strata]
-        checks.extend(
-            _nonincreasing(values, labels, f"E(Y|A={arm},Z): z {{lo}}->{{hi}}")
-        )
-    return _report(condition_id, checks)
+    labels, _w, _pi, *mu = zip(*_mu_values(s))
+    return _report(condition_id, [
+        _at_least((f"E(Y|A={arm},Z): z {{lo}}->{{hi}}", labels, None), mu[arm][:-1], mu[arm][1:])
+        for arm in (0, 1)
+    ])
 
 
 @dataclass(frozen=True)
@@ -222,16 +242,14 @@ class MultiplicativeDecomposition(_Decomposition):
 
 def _fit_treatment(s: DiscreteScenario, cls, split, residual):
     """The z part is the propensity pi(z) and the u part is
-    ``split(Pr(A=1|U=u), Pr(A=1))``; ``residual(t, pi, g)`` is one cell's
-    signed misfit."""
+    ``split(Pr(A=1|U=u), Pr(A=1))``; ``residual(t, pi, gamma)`` maps the
+    cells, row by row, and their z and u parts to the signed misfits."""
     pi = _propensity_values(s)
     f = _treated_fraction(s.z_pmf, pi)
     gamma = [split(p, f) for p in _treated_prob_by_u(s)]
-    worst = max(
-        abs(residual(s.treat[i][j], pi[i], gamma[j]))
-        for i in range(s.n_z)
-        for j in range(s.n_u)
-    )
+    worst = max(map(abs, residual(chain.from_iterable(s.treat),
+                                  chain.from_iterable(map(repeat, pi, repeat(s.n_u))),
+                                  chain.from_iterable(repeat(gamma, s.n_z)))))
     return cls(s.z_support, tuple(pi), s.u_support, tuple(gamma), worst)
 
 
@@ -241,21 +259,20 @@ def fit_additive(s: DiscreteScenario) -> AdditiveDecomposition:
     The z part is the propensity and the u part is Pr(A=1|U=u) - Pr(A=1);
     when the table is exactly additive the residual is zero.
     """
-    return _fit_treatment(s, AdditiveDecomposition, operator.sub,
-                          lambda t, pi, g: t - pi - g)
+    return _fit_treatment(s, AdditiveDecomposition, sub,
+                          lambda t, pi, g: map(sub, map(sub, t, pi), g))
 
 
 def fit_multiplicative(s: DiscreteScenario) -> MultiplicativeDecomposition:
     """Best multiplicative decomposition; requires a strictly positive table."""
-    for i in range(s.n_z):
-        for j in range(s.n_u):
-            if s.treat[i][j] <= 0.0:
-                raise NonpositiveCellError(
-                    f"treat[{i}][{j}] = {s.treat[i][j]!r}: multiplicative fit "
-                    "needs strictly positive cells"
-                )
+    if not min(map(min, s.treat)) > 0.0:
+        i, j = next((i, j) for i, row in enumerate(s.treat) for j, t in enumerate(row) if t <= 0)
+        raise NonpositiveCellError(
+            f"treat[{i}][{j}] = {s.treat[i][j]!r}: multiplicative fit "
+            "needs strictly positive cells"
+        )
     return _fit_treatment(s, MultiplicativeDecomposition, _ratio_to_treated,
-                          lambda t, pi, g: t - pi * g)
+                          lambda t, pi, g: map(sub, t, map(mul, pi, g)))
 
 
 def _ratio_to_treated(p: float, f: float) -> float:
@@ -266,17 +283,17 @@ def _ratio_to_treated(p: float, f: float) -> float:
     return p / f
 
 
-def _monotone_effect_checks(s: DiscreteScenario, dec):
-    yield from _nondecreasing(dec.z_effect, dec.z_levels, "z effect: z {lo}->{hi}")
-    yield from _nondecreasing(dec.u_effect, dec.u_levels, "u effect: u {lo}->{hi}")
-    yield from _outcome_by_u_checks(s)
+def _monotone_effect_checks(s: DiscreteScenario, dec) -> list:
+    return (_nondecreasing(dec.z_effect, dec.z_levels, "z effect: z {lo}->{hi}")
+            + _nondecreasing(dec.u_effect, dec.u_levels, "u effect: u {lo}->{hi}")
+            + _outcome_by_u_checks(s))
 
 
-def _top_support_mass_checks(s: DiscreteScenario, pi):
+def _top_support_mass_checks(s: DiscreteScenario, pi) -> list:
     """Finite-support essential-supremum condition: the top confounder level
     keeps positive conditional mass given (A=a, Z=z) at every positive-mass
     instrument level; ``pi`` is the propensity at each level."""
-    top = s.n_u - 1
+    top, checks = s.n_u - 1, []
     for i in range(s.n_z):
         if s.z_pmf[i] == 0.0:
             continue
@@ -287,9 +304,9 @@ def _top_support_mass_checks(s: DiscreteScenario, pi):
                 raise UndefinedConditionalError(
                     f"Pr(U|A={arm}, Z={s.z_support[i]!r}) undefined: empty arm"
                 )
-            mass = num / den
             cell = f"Pr(U={s.u_support[top]!r}|A={arm},Z={s.z_support[i]!r})"
-            yield _at_least(cell, mass, VALIDATION_TOL)
+            checks.append(_at_least(cell, num / den, VALIDATION_TOL))
+    return checks
 
 
 def _treatment_model_reports(s: DiscreteScenario, dec, thm: str, fit: str, label: str):
@@ -400,44 +417,34 @@ def check_collider_association(s: DiscreteScenario, arm: int) -> list[ConditionR
     used = [i for i in range(s.n_z) if s.z_pmf[i] > 0.0]
     cdfs = []
     for i in used:
-        weights = [
-            s.u_pmf[j] * (s.treat[i][j] if arm == 1 else 1.0 - s.treat[i][j])
-            for j in range(s.n_u)
-        ]
+        row = s.treat[i] if arm == 1 else map(sub, repeat(1.0), s.treat[i])
+        weights = list(map(mul, s.u_pmf, row))
         total = fsum(weights)
         if total <= 0.0:
             raise UndefinedConditionalError(
                 f"Pr(U|A={arm}, Z={s.z_support[i]!r}) undefined: empty conditioning event"
             )
-        running = 0.0
-        cdf = []
-        for w in weights:
-            running += w / total
-            cdf.append(min(running, 1.0))
-        cdfs.append(cdf)
+        # Sums from 0.0 (a first -0.0 becomes 0.0) never fall: those above 1 end it.
+        cdf = list(accumulate(map(truediv, weights, repeat(total)), initial=0.0))
+        top = bisect_right(cdf, 1.0)
+        cdfs.append(cdf[1:top] + [1.0] * (len(cdf) - top))
 
-    checks = []
-    for j in range(s.n_u):
-        values = [cdf[j] for cdf in cdfs]
-        labels = [s.z_support[i] for i in used]
-        checks.extend(
-            _nondecreasing(
-                values, labels, f"F(u={s.u_support[j]!r}|A={arm},Z): z {{lo}}->{{hi}}"
-            )
-        )
-    reports = [_report(f"collider.a{arm}.monotone", checks)]
+    columns, labels = list(zip(*cdfs)), [s.z_support[i] for i in used]
+    template = f"F(u={{at}}|A={arm},Z): z {{lo}}->{{hi}}"
+    reports = [_report(f"collider.a{arm}.monotone", [
+        _at_least((template, labels, u), column[1:], column[:-1])
+        for u, column in zip(s.u_support, columns)
+    ])]
 
     # Arm first: the multiplicative fit runs only where its answer is used.
-    if arm == 1 and all(
-        s.treat[i][j] > 0.0 for i in range(s.n_z) for j in range(s.n_u)
-    ) and fit_multiplicative(s).residual_max <= VALIDATION_TOL:
-        checks = []
-        for j in range(s.n_u):
-            base = cdfs[0][j]
-            for pos, i in enumerate(used):
-                checks.append(_equal(f"F(u={s.u_support[j]!r}|A=1,Z={s.z_support[i]!r})",
-                                     cdfs[pos][j], base))
-        reports.append(_report("collider.a1.indep", checks))
+    if (arm == 1 and min(map(min, s.treat)) > 0.0
+            and fit_multiplicative(s).residual_max <= VALIDATION_TOL):
+        # Each level against the first: comparison k names label k + 1.
+        labels = labels[:1] + labels
+        reports.append(_report("collider.a1.indep", [
+            _equal(("F(u={at}|A=1,Z={hi})", labels, u), column, [column[0]] * len(column))
+            for u, column in zip(s.u_support, columns)
+        ]))
     return reports
 
 
@@ -508,9 +515,7 @@ def check_thm4(s: PotentialOutcomeScenario) -> list[ConditionReport]:
     checks = []
     for arm in (0, 1):
         levels, probs = _selection_by_potential(s, arm)
-        checks.extend(
-            _nondecreasing(probs, levels, f"Pr(A=1|Y({arm})): y {{lo}}->{{hi}}")
-        )
+        checks += _nondecreasing(probs, levels, f"Pr(A=1|Y({arm})): y {{lo}}->{{hi}}")
     a = _report("thm4.a", checks)
     strata = _po_strata(s)
     checks = []
@@ -687,29 +692,24 @@ def check_thm5_binary(s: PotentialOutcomeScenario) -> list[ConditionReport]:
     return [a, b, c]
 
 
-def _grid_checks(s: DiscreteScenario, table, head: str):
+def _grid_checks(s: DiscreteScenario, table, head: str) -> list:
     """``table`` (indexed [z][u]) non-decreasing in z at every u, then in u
     at every z; ``head`` opens each cell label."""
-    for j in range(s.n_u):
-        yield from _nondecreasing([row[j] for row in table], s.z_support,
-                                  f"{head}., u={s.u_support[j]!r}): z {{lo}}->{{hi}}")
-    for i in range(s.n_z):
-        yield from _nondecreasing(table[i], s.u_support,
-                                  f"{head}z={s.z_support[i]!r}, .): u {{lo}}->{{hi}}")
+    by_z, by_u = head + "., u={at}): z {lo}->{hi}", head + "z={at}, .): u {lo}->{hi}"
+    return ([_at_least((by_z, s.z_support, u), column[1:], column[:-1])
+             for u, column in zip(s.u_support, zip(*table))]
+            + [_at_least((by_u, s.u_support, z), row[1:], row[:-1])
+               for z, row in zip(s.z_support, table)])
 
 
 def check_thm7(s: DiscreteScenario) -> list[ConditionReport]:
     """Conditions allowing a direct instrument-to-outcome effect: treatment
     and outcome tables monotone in both coordinates, and the within-arm
     outcome-by-instrument means still non-increasing."""
-    mean_checks = (
-        check
-        for arm in (0, 1)
-        for check in _grid_checks(s, s.outcome_mean[arm], f"E(Y|A={arm}, ")
-    )
     return [
         _report("thm7.a.treat", _grid_checks(s, s.treat, "treat(")),
-        _report("thm7.a.mean", mean_checks),
+        _report("thm7.a.mean", _grid_checks(s, s.outcome_mean[0], "E(Y|A=0, ")
+                + _grid_checks(s, s.outcome_mean[1], "E(Y|A=1, ")),
         _outcome_by_z_report("thm7.b", s),
     ]
 

@@ -25,8 +25,10 @@ stratum per pi.  Slots are differences, or ratios, of moment pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import repeat
 from json.encoder import encode_basestring, encode_basestring_ascii
 from math import fsum, isfinite
+from operator import mul, sub
 from typing import Literal
 
 from .errors import (
@@ -62,14 +64,15 @@ _JSON_KEYS = (
 )
 # Result fields written under another name.
 _JSON_NAMES = {"treated_fraction": "f"}
+# JSON numbers: 17 significant digits round-trip a double.
+_NUMBER = "%.17g"
 
 
 def _json_num(value: float) -> str:
-    # 17 significant digits round-trip a double; strict JSON has no spelling
-    # for infinities or NaN.
+    # Strict JSON has no spelling for infinities or NaN.
     if not isfinite(value):
         raise InvariantViolation(f"{value!r} is not finite and has no JSON form")
-    return f"{value:.17g}"
+    return _NUMBER % value
 
 
 def _json_str(text: str) -> str:
@@ -224,13 +227,10 @@ def _mu_values(s: DiscreteScenario):
             raise UndefinedStratumError(
                 f"E(Y|A=0, Z={s.z_support[i]!r}) undefined: Pr(A=0|Z=z) = 0"
             )
-        mu1 = _total([
-            s.u_pmf[j] * s.treat[i][j] * s.outcome_mean[1][i][j] for j in range(s.n_u)
-        ]) / pi[i]
-        mu0 = _total([
-            s.u_pmf[j] * (1.0 - s.treat[i][j]) * s.outcome_mean[0][i][j]
-            for j in range(s.n_u)
-        ]) / (1.0 - pi[i])
+        row = s.treat[i]
+        mu1 = _total([*map(mul, map(mul, s.u_pmf, row), s.outcome_mean[1][i])]) / pi[i]
+        untreated = map(mul, s.u_pmf, map(sub, repeat(1.0), row))
+        mu0 = _total([*map(mul, untreated, s.outcome_mean[0][i])]) / (1.0 - pi[i])
         strata.append((s.z_support[i], s.z_pmf[i], pi[i], mu0, mu1))
     return strata
 
@@ -416,9 +416,10 @@ def dce(
         raise MissingOutcomeLawError(
             "distributional effects need law[a][j] entries for every (a, u)"
         )
+    # Masses may sum to 1 + VALIDATION_TOL, so a tail probability is capped at 1.
     tail = [
         [
-            fsum(p for v, p in s.outcome_law[a][j] if v > threshold)
+            min(fsum(p for v, p in s.outcome_law[a][j] if v > threshold), 1.0)
             for j in range(s.n_u)
         ]
         for a in (0, 1)

@@ -471,7 +471,7 @@ def _binary_scenario(params, binary_outcome: bool = True) -> BinaryScenario:
 def _treated_fraction(pmf, treat) -> float:
     """Pr(A=1) of a law with masses ``pmf`` and treatment probabilities
     ``treat``: the compensated sum of their products."""
-    return fsum(p * t for p, t in zip(pmf, treat))
+    return fsum(map(mul, pmf, treat))
 
 
 def to_discrete(scenario: BinaryScenario) -> DiscreteScenario:
@@ -503,6 +503,14 @@ def _propensity_values(scenario: DiscreteScenario) -> list[float]:
 def propensity(scenario: DiscreteScenario) -> dict[float, float]:
     """Pr(A=1 | Z=z) for each instrument level, marginalising the confounder."""
     return dict(zip(scenario.z_support, _propensity_values(scenario)))
+
+
+def _merged(weights, table, group, total=fsum, cap=True) -> tuple[float, ...]:
+    """The ``weights``-average of the ``group`` rows of ``table``, summed
+    column by column with ``total``.  The weights can sum to 1 + 2^-52, so
+    with ``cap`` an average above 1 is set to 1."""
+    row = tuple(map(total, zip(*[map(mul, repeat(w), table[i]) for w, i in zip(weights, group)])))
+    return tuple(map(min, row, repeat(1.0))) if cap and max(row) > 1.0 else row
 
 
 def collapse_by_propensity(
@@ -545,22 +553,15 @@ def collapse_by_propensity(
             treat_row = scenario.treat[i]
             means = (scenario.outcome_mean[0][i], scenario.outcome_mean[1][i])
         else:
-            mass = fsum(scenario.z_pmf[i] for i in group)
+            mass = fsum([scenario.z_pmf[i] for i in group])
             if mass > 0.0:
                 weights = [scenario.z_pmf[i] / mass for i in group]
             else:
                 weights = [1.0 / len(group)] * len(group)
-            treat_row = tuple(
-                fsum(w * scenario.treat[i][j] for w, i in zip(weights, group))
-                for j in range(scenario.n_u)
-            )
-            means = tuple(
-                tuple(
-                    _total([w * scenario.outcome_mean[a][i][j] for w, i in zip(weights, group)])
-                    for j in range(scenario.n_u)
-                )
-                for a in (0, 1)
-            )
+            treat_row = _merged(weights, scenario.treat, group)
+            binary = scenario.binary_outcome  # means in [0, 1], whose sums cannot overflow
+            means = tuple(_merged(weights, arm, group, fsum if binary else _total, binary)
+                          for arm in scenario.outcome_mean)
         # Label with the merged row's own propensity so that the collapsed
         # scenario satisfies propensity(z) == z exactly.
         support.append(_treated_fraction(scenario.u_pmf, treat_row))

@@ -154,7 +154,7 @@ def _bulk_entries(text: str) -> _Entries:
     """The entries of a file whose every line is one ``key = value`` pair
     with a key of its own, split and stripped in whole-file passes."""
     lines = text.splitlines()
-    if not lines or "#" in text:
+    if not lines or "#" in text or text.count("=") < len(lines):
         raise _Walk
     parts = list(map(str.partition, lines, repeat("=")))
     if "" in map(itemgetter(1), parts):

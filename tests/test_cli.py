@@ -510,3 +510,47 @@ def test_only_a_missing_numpy_is_an_io_error(monkeypatch, capsys, blocked, statu
     assert main(["mc", "--draws", "10", "--seed", "1"]) == status
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message)
+
+
+def _rounding_world_text(binary):
+    # Three tied instrument levels whose merge weights z_pmf[i] / mass sum to
+    # 1 + 2^-52, under a treatment cell of 1.0 or (binary) a mean of 1.0.
+    from test_collapse_reference import rounding_world
+
+    return serialize_scenario(rounding_world(binary))
+
+
+@pytest.mark.parametrize("binary", [False, True])
+@pytest.mark.parametrize("command", ["eval", "rr"])
+def test_propensity_merge_that_rounds_up_past_one_is_capped(tmp_path, capsys, command, binary):
+    from zbias.cli import main
+
+    path = tmp_path / "rounding.scn"
+    path.write_text(_rounding_world_text(binary))
+    for conditioning in ("on_z", "on_propensity"):
+        assert main([command, str(path), "--conditioning", conditioning]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["conditioning"] == conditioning
+    assert main(["check", str(path), "--theorem", "thm1"]) == 0
+
+
+def test_dce_tail_of_a_law_summing_above_one_is_capped(tmp_path, capsys):
+    # law[0][0] sums to 1 + 5e-10, inside the validation tolerance.
+    from zbias.cli import main
+
+    lines = ["kind = discrete", "z_support = 0, 1", "z_pmf = 0.5, 0.5", "u_support = 0, 1",
+             "u_pmf = 0.5, 0.5", "treat[0][0] = 0.2", "treat[0][1] = 0.4",
+             "treat[1][0] = 0.6", "treat[1][1] = 0.8"]
+    lines += [f"mean[{a}][{i}][{j}] = 0.5" for a in (0, 1) for i in (0, 1) for j in (0, 1)]
+    lines += [f"law[{a}][{j}] = 0.0:{'0.5000000005' if a == j == 0 else '0.5'}, 1.0:0.5"
+              for a in (0, 1) for j in (0, 1)]
+    path = tmp_path / "heavy-law.scn"
+    path.write_text("\n".join(lines) + "\n")
+    for threshold in ("-1", "0.5", "2"):
+        assert main(["dce", str(path), "--threshold", threshold]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        slots = json.loads(captured.out)
+        if threshold == "-1":  # I(Y > -1) is always 1: no effect, no bias
+            assert max(abs(slots[k]) for k in ("true_all", "unadj", "adj_all")) < 1e-12

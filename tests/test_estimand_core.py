@@ -292,8 +292,10 @@ def ref_dce(s, threshold, conditioning):
         raise MissingOutcomeLawError(
             "distributional effects need law[a][j] entries for every (a, u)"
         )
+    # A tail is capped at 1: a law's masses may sum to 1 + VALIDATION_TOL.
     tail = [
-        [fsum(p for v, p in s.outcome_law[a][j] if v > threshold) for j in range(s.n_u)]
+        [min(fsum(p for v, p in s.outcome_law[a][j] if v > threshold), 1.0)
+         for j in range(s.n_u)]
         for a in (0, 1)
     ]
     dichotomized = DiscreteScenario(
