@@ -30,8 +30,8 @@ from .errors import (
     UndefinedConditionalError,
     ZeroDenominatorError,
 )
-from .estimators import (_NUMBER, EstimateSet, _json_num, _json_str, _mu_values,
-                         _pi_covariance, _po_strata)
+from .estimators import (_NUMBER, EstimateSet, _json_num, _json_str, _json_strs,
+                         _mu_values, _pi_covariance, _po_strata)
 from .scenario import (
     IDENTITY_TOL,
     VALIDATION_TOL,
@@ -83,7 +83,7 @@ class ConditionReport:
             cells = ", ".join([_WITNESS % (_json_str(w.cell), w.lhs, w.rhs) for w in witnesses])
         else:
             fields = list(chain.from_iterable(map(attrgetter("cell", "lhs", "rhs"), witnesses)))
-            fields[::3] = map(_json_str, fields[::3])
+            fields[::3] = _json_strs(fields[::3])
             cells = ", ".join([_WITNESS] * len(witnesses)) % tuple(fields)
         if "inf" in cells or "nan" in cells:  # how %.17g spells a non-finite number
             for w in witnesses:  # _json_num raises for the first one

@@ -85,6 +85,11 @@ def _json_str(text: str) -> str:
     return encode_basestring(text)
 
 
+def _json_strs(texts: list) -> list:
+    """``_json_str`` of each text; ASCII texts are escaped in one pass."""
+    return list(map(encode_basestring if all(map(str.isascii, texts)) else _json_str, texts))
+
+
 def _check_convex(total: float, f: float, treated: float, control: float, name: str) -> None:
     # The absolute tolerance is meant for outcome scales around unity; allow
     # it to grow with the magnitude of the slots so large-valued outcomes do
@@ -417,13 +422,8 @@ def dce(
             "distributional effects need law[a][j] entries for every (a, u)"
         )
     # Masses may sum to 1 + VALIDATION_TOL, so a tail probability is capped at 1.
-    tail = [
-        [
-            min(fsum(p for v, p in s.outcome_law[a][j] if v > threshold), 1.0)
-            for j in range(s.n_u)
-        ]
-        for a in (0, 1)
-    ]
+    tail = [[min(fsum(p for v, p in cell if v > threshold), 1.0) for cell in arm]
+            for arm in s.outcome_law]
     dichotomized = replace(
         s,
         outcome_mean=tuple(tuple(tuple(tail[a]) for _ in range(s.n_z)) for a in (0, 1)),

@@ -547,10 +547,11 @@ def collapse_by_propensity(
     treat_rows: list[tuple[float, ...]] = []
     mean_rows: list[tuple[tuple[float, ...], tuple[float, ...]]] = []
     for group in groups:
+        # Each level is labelled with its row's own propensity, so that the
+        # collapsed scenario satisfies propensity(z) == z exactly.
         if len(group) == 1:
             i = group[0]
-            mass = scenario.z_pmf[i]
-            treat_row = scenario.treat[i]
+            label, mass, treat_row = pi[i], scenario.z_pmf[i], scenario.treat[i]
             means = (scenario.outcome_mean[0][i], scenario.outcome_mean[1][i])
         else:
             mass = fsum([scenario.z_pmf[i] for i in group])
@@ -559,12 +560,11 @@ def collapse_by_propensity(
             else:
                 weights = [1.0 / len(group)] * len(group)
             treat_row = _merged(weights, scenario.treat, group)
+            label = _treated_fraction(scenario.u_pmf, treat_row)
             binary = scenario.binary_outcome  # means in [0, 1], whose sums cannot overflow
             means = tuple(_merged(weights, arm, group, fsum if binary else _total, binary)
                           for arm in scenario.outcome_mean)
-        # Label with the merged row's own propensity so that the collapsed
-        # scenario satisfies propensity(z) == z exactly.
-        support.append(_treated_fraction(scenario.u_pmf, treat_row))
+        support.append(label)
         pmf.append(mass)
         treat_rows.append(treat_row)
         mean_rows.append(means)
