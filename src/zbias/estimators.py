@@ -76,6 +76,8 @@ def _json_num(value: float) -> str:
 
 
 def _json_str(text: str) -> str:
+    if text.isascii():
+        return encode_basestring(text)
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:

@@ -542,10 +542,7 @@ def collapse_by_propensity(
     if already_collapsed:
         return scenario
 
-    support: list[float] = []
-    pmf: list[float] = []
-    treat_rows: list[tuple[float, ...]] = []
-    mean_rows: list[tuple[tuple[float, ...], tuple[float, ...]]] = []
+    support, pmf, treat_rows, mean_rows = [], [], [], []
     for group in groups:
         # Each level is labelled with its row's own propensity, so that the
         # collapsed scenario satisfies propensity(z) == z exactly.
