@@ -30,8 +30,8 @@ from .errors import (
     UndefinedConditionalError,
     ZeroDenominatorError,
 )
-from .estimators import (_NUMBER, EstimateSet, _json_num, _json_str, _json_strs,
-                         _mu_values, _pi_covariance, _po_strata)
+from .estimators import (_NUMBER, EstimateSet, _json_num, _json_str, _mu_values,
+                         _pi_covariance, _po_strata)
 from .scenario import (
     IDENTITY_TOL,
     VALIDATION_TOL,
@@ -83,7 +83,7 @@ class ConditionReport:
             cells = ", ".join([_WITNESS % (_json_str(w.cell), w.lhs, w.rhs) for w in witnesses])
         else:
             fields = list(chain.from_iterable(map(attrgetter("cell", "lhs", "rhs"), witnesses)))
-            fields[::3] = _json_strs(fields[::3])
+            fields[::3] = map(_json_str, fields[::3])
             cells = ", ".join([_WITNESS] * len(witnesses)) % tuple(fields)
         if "inf" in cells or "nan" in cells:  # how %.17g spells a non-finite number
             for w in witnesses:  # _json_num raises for the first one
@@ -138,7 +138,7 @@ def _witnesses(runs) -> list:
 
 
 def _witness(cell: str, lhs: float, rhs: float) -> Witness:
-    # Witness(cell, lhs, rhs) without the frozen __init__'s object.__setattr__ calls.
+    """``Witness(cell, lhs, rhs)`` without its __init__'s object.__setattr__ calls."""
     witness = object.__new__(Witness)
     fields = witness.__dict__
     fields["cell"], fields["lhs"], fields["rhs"] = cell, lhs, rhs
@@ -266,7 +266,7 @@ def fit_additive(s: DiscreteScenario) -> AdditiveDecomposition:
 def fit_multiplicative(s: DiscreteScenario) -> MultiplicativeDecomposition:
     """Best multiplicative decomposition; requires a strictly positive table."""
     if not min(map(min, s.treat)) > 0.0:
-        i, j = next((i, j) for i, row in enumerate(s.treat) for j, t in enumerate(row) if t <= 0)
+        i, j = next((i, j) for i, row in enumerate(s.treat) for j, t in enumerate(row) if t <= 0.0)
         raise NonpositiveCellError(
             f"treat[{i}][{j}] = {s.treat[i][j]!r}: multiplicative fit "
             "needs strictly positive cells"

@@ -87,11 +87,6 @@ def _json_str(text: str) -> str:
     return encode_basestring(text)
 
 
-def _json_strs(texts: list) -> list:
-    """``_json_str`` of each text; ASCII texts are escaped in one pass."""
-    return list(map(encode_basestring if all(map(str.isascii, texts)) else _json_str, texts))
-
-
 def _check_convex(total: float, f: float, treated: float, control: float, name: str) -> None:
     # The absolute tolerance is meant for outcome scales around unity; allow
     # it to grow with the magnitude of the slots so large-valued outcomes do

@@ -551,7 +551,7 @@ def collapse_by_propensity(
             label, mass, treat_row = pi[i], scenario.z_pmf[i], scenario.treat[i]
             means = (scenario.outcome_mean[0][i], scenario.outcome_mean[1][i])
         else:
-            mass = fsum([scenario.z_pmf[i] for i in group])
+            mass = fsum(scenario.z_pmf[i] for i in group)
             if mass > 0.0:
                 weights = [scenario.z_pmf[i] / mass for i in group]
             else:

@@ -755,3 +755,27 @@ def test_infinite_odds_ratio_margin_stays_null():
         report = next(r for r in check(s) if r.condition_id == condition_id)
         assert report.margin == math.inf
         assert '"margin": null' in report.to_json()
+
+
+@pytest.mark.parametrize("count", [1, 30])  # short and long witness lists
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_report_json_names_the_first_non_finite_witness_value(count, value):
+    from zbias import Witness
+
+    finite = [Witness("finite", 0.5, -0.25)] * (count - 1)
+    report = ConditionReport("x", False, -1.0, finite + [
+        Witness("first", 1.0, value), Witness("later", -math.inf, 0.0)])
+    with pytest.raises(InvariantViolation) as info:
+        report.to_json()
+    assert str(info.value) == f"{value!r} is not finite and has no JSON form"
+
+
+@pytest.mark.parametrize("count", [1, 30])
+def test_report_json_keeps_finite_witnesses_whose_cells_spell_inf_or_nan(count):
+    from zbias import Witness
+
+    witnesses = [Witness(f"infimum of nan-free cell {k}", k / 3, -0.0) for k in range(count)]
+    data = json.loads(ConditionReport("x", False, -1.0, witnesses).to_json())
+    assert [(w["cell"], w["lhs"], w["rhs"]) for w in data["witnesses"]] == [
+        (w.cell, w.lhs, w.rhs) for w in witnesses]
+    assert '"rhs": -0}' in ConditionReport("x", False, -1.0, witnesses).to_json()

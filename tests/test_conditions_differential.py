@@ -304,3 +304,22 @@ def test_large_worlds_match_reference_witness_for_witness():
                     violated += sum(slack < -1e-12 for *_rest, slack in checks)
     assert compared > 20_000
     assert 0.25 < violated / compared < 0.4
+
+
+def test_nan_first_slack_does_not_hide_a_violation():
+    # inf - inf makes the first slack, and so the margin, NaN; the violated
+    # comparison after it must still be found, so that both builders reject
+    # the report for its NaN margin.
+    nan = math.inf - math.inf
+    runs = [("first", math.inf, math.inf, nan),
+            conditions._at_least(("z {lo}->{hi}", (0.0, 1.0, 2.0), None), [0.0, 2.0], [1.0, 1.0])]
+    checks = [("first", math.inf, math.inf, nan),
+              (("z {lo}->{hi}", 0.0, 1.0), 0.0, 1.0, -1.0),
+              (("z {lo}->{hi}", 1.0, 2.0), 2.0, 1.0, 1.0)]
+    outcomes = []
+    for build, items in ((conditions._report, runs), (_reference_report, checks)):
+        try:
+            build("x", items)
+        except InvariantViolation as exc:
+            outcomes.append(str(exc))
+    assert outcomes == ["x: margin nan is not finite"] * 2
