@@ -774,8 +774,9 @@ def test_report_json_names_the_first_non_finite_witness_value(count, value):
 def test_report_json_keeps_finite_witnesses_whose_cells_spell_inf_or_nan(count):
     from zbias import Witness
 
-    witnesses = [Witness(f"infimum of nan-free cell {k}", k / 3, -0.0) for k in range(count)]
-    data = json.loads(ConditionReport("x", False, -1.0, witnesses).to_json())
-    assert [(w["cell"], w["lhs"], w["rhs"]) for w in data["witnesses"]] == [
+    witnesses = [Witness(f"infimum of nan-free cell {k} \u2264 \u00e9", k / 3, -0.0)
+                 for k in range(count)]
+    text = ConditionReport("x", False, -1.0, witnesses).to_json()
+    assert [(w["cell"], w["lhs"], w["rhs"]) for w in json.loads(text)["witnesses"]] == [
         (w.cell, w.lhs, w.rhs) for w in witnesses]
-    assert '"rhs": -0}' in ConditionReport("x", False, -1.0, witnesses).to_json()
+    assert '\u2264 \u00e9", "lhs": 0, "rhs": -0}' in text  # valid UTF-8 is not escaped
