@@ -299,7 +299,7 @@ def test_large_worlds_match_reference_witness_for_witness():
             outcome = _outcome(conditions, name, args)
             assert outcome == _expected(name, args), (seed, name)
             if name == "check_thm7" and outcome[0] == "ok":
-                for condition_id, checks in _built:
+                for _condition_id, checks in _built:
                     compared += len(checks)
                     violated += sum(slack < -1e-12 for *_rest, slack in checks)
     assert compared > 20_000
