@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from math import fsum, isfinite
-from operator import attrgetter, mul, neg, sub, truediv
+from operator import mul, neg, sub, truediv
 
 from .errors import (
     DegeneratePopulationError,
@@ -53,6 +53,11 @@ class Witness:
     lhs: float
     rhs: float
 
+    def __init__(self, cell: str, lhs: float, rhs: float) -> None:
+        # Straight into __dict__: the generated frozen __init__'s setattr calls cost more.
+        fields = self.__dict__
+        fields["cell"], fields["lhs"], fields["rhs"] = cell, lhs, rhs
+
 
 # A witness's JSON object, its numbers written as ``_json_num`` writes them.
 _WITNESS = '{"cell": %%s, "lhs": %s, "rhs": %s}' % (_NUMBER, _NUMBER)
@@ -79,14 +84,10 @@ class ConditionReport:
         """One JSON object; an infinite margin (nothing to compare) is
         written as ``null``, since JSON has no infinity."""
         witnesses = self.witnesses
-        if len(witnesses) < 8:  # one % per witness beats the whole-list pass
-            cells = ", ".join([_WITNESS % (_json_str(w.cell), w.lhs, w.rhs) for w in witnesses])
-        else:
-            fields = list(chain.from_iterable(map(attrgetter("cell", "lhs", "rhs"), witnesses)))
-            fields[::3] = map(_json_str, fields[::3])
-            cells = ", ".join([_WITNESS] * len(witnesses)) % tuple(fields)
-        if "inf" in cells or "nan" in cells:  # how %.17g spells a non-finite number
-            for w in witnesses:  # _json_num raises for the first one
+        cells = ", ".join([_WITNESS] * len(witnesses)) % tuple(
+            [x for w in witnesses for x in (_json_str(w.cell), w.lhs, w.rhs)])
+        if "n" in cells:  # %.17g writes inf or nan, but no finite number or key, with an n
+            for w in witnesses:  # _json_num raises for the first non-finite one
                 _json_num(w.lhs), _json_num(w.rhs)
         margin = "null" if self.margin == math.inf else _json_num(self.margin)
         return (
@@ -133,16 +134,8 @@ def _witnesses(runs) -> list:
             template, labels, at = cell
             text = texts.get(id(labels)) or texts.setdefault(id(labels), [*map(str, labels)])
             cell = template.replace("%", "%%").format(at=at, lo="%s", hi="%s")
-            witnesses += [_witness(cell % (text[k], text[k + 1]), lhs[k], rhs[k]) for k in hits]
+            witnesses += [Witness(cell % (text[k], text[k + 1]), lhs[k], rhs[k]) for k in hits]
     return witnesses
-
-
-def _witness(cell: str, lhs: float, rhs: float) -> Witness:
-    """``Witness(cell, lhs, rhs)`` without its __init__'s object.__setattr__ calls."""
-    witness = object.__new__(Witness)
-    fields = witness.__dict__
-    fields["cell"], fields["lhs"], fields["rhs"] = cell, lhs, rhs
-    return witness
 
 
 def _at_least(cell, lhs, rhs):
@@ -240,17 +233,20 @@ class MultiplicativeDecomposition(_Decomposition):
     """treat(z,u) ~ z_effect(z) * u_effect(u), normalised so E[u_effect(U)] = 1."""
 
 
-def _fit_treatment(s: DiscreteScenario, cls, split, residual):
-    """The z part is the propensity pi(z) and the u part is
-    ``split(Pr(A=1|U=u), Pr(A=1))``; ``residual(t, pi, gamma)`` maps the
-    cells, row by row, and their z and u parts to the signed misfits."""
+def _fit_parts(s: DiscreteScenario, split, residual):
+    """pi (the propensity), then per u level, computed when reached, its u part gamma
+    ``split(Pr(A=1|U=u), Pr(A=1))`` and its column's |``residual(column, pi, gamma)``|."""
     pi = _propensity_values(s)
     f = _treated_fraction(s.z_pmf, pi)
-    gamma = [split(p, f) for p in _treated_prob_by_u(s)]
-    worst = max(map(abs, residual(chain.from_iterable(s.treat),
-                                  chain.from_iterable(map(repeat, pi, repeat(s.n_u))),
-                                  chain.from_iterable(repeat(gamma, s.n_z)))))
-    return cls(s.z_support, tuple(pi), s.u_support, tuple(gamma), worst)
+    return pi, ((g, map(abs, residual(column, pi, repeat(g)))) for column in zip(*s.treat)
+                for g in [split(_treated_fraction(s.z_pmf, column), f)])
+
+
+def _fit_treatment(s: DiscreteScenario, cls, split, residual):
+    # Misfits are >= 0 or NaN, so a max over them in any order from cell (0, 0) is the same.
+    pi, columns = _fit_parts(s, split, residual)
+    gamma, misfits = zip(*columns)
+    return cls(s.z_support, tuple(pi), s.u_support, gamma, max(chain.from_iterable(misfits)))
 
 
 def fit_additive(s: DiscreteScenario) -> AdditiveDecomposition:
@@ -267,12 +263,9 @@ def fit_multiplicative(s: DiscreteScenario) -> MultiplicativeDecomposition:
     """Best multiplicative decomposition; requires a strictly positive table."""
     if not min(map(min, s.treat)) > 0.0:
         i, j = next((i, j) for i, row in enumerate(s.treat) for j, t in enumerate(row) if t <= 0.0)
-        raise NonpositiveCellError(
-            f"treat[{i}][{j}] = {s.treat[i][j]!r}: multiplicative fit "
-            "needs strictly positive cells"
-        )
-    return _fit_treatment(s, MultiplicativeDecomposition, _ratio_to_treated,
-                          lambda t, pi, g: map(sub, t, map(mul, pi, g)))
+        raise NonpositiveCellError(f"treat[{i}][{j}] = {s.treat[i][j]!r}: "
+                                   "multiplicative fit needs strictly positive cells")
+    return _fit_treatment(s, MultiplicativeDecomposition, *_MULTIPLICATIVE)
 
 
 def _ratio_to_treated(p: float, f: float) -> float:
@@ -281,6 +274,10 @@ def _ratio_to_treated(p: float, f: float) -> float:
         raise DegeneratePopulationError(
             f"Pr(A=1) = {f!r}: multiplicative fit needs a treated population")
     return p / f
+
+
+_MULTIPLICATIVE = (_ratio_to_treated, lambda t, pi, g: map(sub, t, map(mul, pi, g)))
+
 
 
 def _monotone_effect_checks(s: DiscreteScenario, dec) -> list:
@@ -294,9 +291,11 @@ def _top_support_mass_checks(s: DiscreteScenario, pi) -> list:
     keeps positive conditional mass given (A=a, Z=z) at every positive-mass
     instrument level; ``pi`` is the propensity at each level."""
     top, checks = s.n_u - 1, []
+    head = f"Pr(U={s.u_support[top]!r}|A="
     for i in range(s.n_z):
         if s.z_pmf[i] == 0.0:
             continue
+        tail = f",Z={s.z_support[i]!r})"
         for arm in (0, 1):
             num = s.u_pmf[top] * (s.treat[i][top] if arm == 1 else 1.0 - s.treat[i][top])
             den = pi[i] if arm == 1 else 1.0 - pi[i]
@@ -304,8 +303,7 @@ def _top_support_mass_checks(s: DiscreteScenario, pi) -> list:
                 raise UndefinedConditionalError(
                     f"Pr(U|A={arm}, Z={s.z_support[i]!r}) undefined: empty arm"
                 )
-            cell = f"Pr(U={s.u_support[top]!r}|A={arm},Z={s.z_support[i]!r})"
-            checks.append(_at_least(cell, num / den, VALIDATION_TOL))
+            checks.append(_at_least(f"{head}{arm}{tail}", num / den, VALIDATION_TOL))
     return checks
 
 
@@ -436,15 +434,17 @@ def check_collider_association(s: DiscreteScenario, arm: int) -> list[ConditionR
         for u, column in zip(s.u_support, columns)
     ])]
 
-    # Arm first: the multiplicative fit runs only where its answer is used.
-    if (arm == 1 and min(map(min, s.treat)) > 0.0
-            and fit_multiplicative(s).residual_max <= VALIDATION_TOL):
-        # Each level against the first: comparison k names label k + 1.
-        labels = labels[:1] + labels
-        reports.append(_report("collider.a1.indep", [
-            _equal(("F(u={at}|A=1,Z={hi})", labels, u), column, [column[0]] * len(column))
-            for u, column in zip(s.u_support, columns)
-        ]))
+    # Arm first: the multiplicative fit runs only where its answer is used, and only up to
+    # the misfit that decides residual_max <= tol: the first (a NaN fails) or one above it.
+    if arm == 1 and min(map(min, s.treat)) > 0.0:
+        misfits = chain.from_iterable(m for _g, m in _fit_parts(s, *_MULTIPLICATIVE)[1])
+        if next(misfits) <= VALIDATION_TOL and not any(m > VALIDATION_TOL for m in misfits):
+            # Each level against the first: comparison k names label k + 1.
+            labels = labels[:1] + labels
+            reports.append(_report("collider.a1.indep", [
+                _equal(("F(u={at}|A=1,Z={hi})", labels, u), column, [column[0]] * len(column))
+                for u, column in zip(s.u_support, columns)
+            ]))
     return reports
 
 

@@ -505,11 +505,11 @@ def propensity(scenario: DiscreteScenario) -> dict[float, float]:
     return dict(zip(scenario.z_support, _propensity_values(scenario)))
 
 
-def _merged(weights, table, group, total=fsum, cap=True) -> tuple[float, ...]:
+def _merged(weights, table, group, cap=True) -> tuple[float, ...]:
     """The ``weights``-average of the ``group`` rows of ``table``, summed
-    column by column with ``total``.  The weights can sum to 1 + 2^-52, so
+    column by column with ``_total``.  The weights can sum to 1 + 2^-52, so
     with ``cap`` an average above 1 is set to 1."""
-    row = tuple(map(total, zip(*[map(mul, repeat(w), table[i]) for w, i in zip(weights, group)])))
+    row = tuple(map(_total, zip(*[map(mul, repeat(w), table[i]) for w, i in zip(weights, group)])))
     return tuple(map(min, row, repeat(1.0))) if cap and max(row) > 1.0 else row
 
 
@@ -558,8 +558,7 @@ def collapse_by_propensity(
                 weights = [1.0 / len(group)] * len(group)
             treat_row = _merged(weights, scenario.treat, group)
             label = _treated_fraction(scenario.u_pmf, treat_row)
-            binary = scenario.binary_outcome  # means in [0, 1], whose sums cannot overflow
-            means = tuple(_merged(weights, arm, group, fsum if binary else _total, binary)
+            means = tuple(_merged(weights, arm, group, scenario.binary_outcome)
                           for arm in scenario.outcome_mean)
         support.append(label)
         pmf.append(mass)

@@ -780,3 +780,23 @@ def test_report_json_keeps_finite_witnesses_whose_cells_spell_inf_or_nan(count):
     assert [(w["cell"], w["lhs"], w["rhs"]) for w in json.loads(text)["witnesses"]] == [
         (w.cell, w.lhs, w.rhs) for w in witnesses]
     assert '\u2264 \u00e9", "lhs": 0, "rhs": -0}' in text  # valid UTF-8 is not escaped
+
+
+def test_witness_is_a_frozen_dataclass_with_keyword_and_positional_fields():
+    # Witness writes its fields itself; it must still act as the dataclass it declares.
+    import dataclasses
+    import pickle
+
+    from zbias import Witness
+
+    w = Witness("cell", 0.25, rhs=-0.5)
+    assert repr(w) == "Witness(cell='cell', lhs=0.25, rhs=-0.5)"
+    assert w == Witness(cell="cell", lhs=0.25, rhs=-0.5) != Witness("cell", 0.25, 0.5)
+    assert hash(w) == hash(Witness("cell", 0.25, -0.5))
+    assert dataclasses.asdict(w) == {"cell": "cell", "lhs": 0.25, "rhs": -0.5}
+    assert dataclasses.replace(w, lhs=1.0) == Witness("cell", 1.0, -0.5)
+    assert pickle.loads(pickle.dumps(w)) == w
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.lhs = 1.0
+    with pytest.raises(TypeError):
+        Witness("cell", 0.25)
