@@ -54,7 +54,7 @@ class Witness:
     rhs: float
 
     def __init__(self, cell: str, lhs: float, rhs: float) -> None:
-        # Straight into __dict__: the generated frozen __init__'s setattr calls cost more.
+        # Into __dict__, cheaper than the generated frozen __init__ (and no __post_init__ runs).
         fields = self.__dict__
         fields["cell"], fields["lhs"], fields["rhs"] = cell, lhs, rhs
 
@@ -276,8 +276,8 @@ def _ratio_to_treated(p: float, f: float) -> float:
     return p / f
 
 
+# fit_multiplicative's split and residual, shared with the collider's early stop.
 _MULTIPLICATIVE = (_ratio_to_treated, lambda t, pi, g: map(sub, t, map(mul, pi, g)))
-
 
 
 def _monotone_effect_checks(s: DiscreteScenario, dec) -> list:
