@@ -323,3 +323,22 @@ def test_nan_first_slack_does_not_hide_a_violation():
         except InvariantViolation as exc:
             outcomes.append(str(exc))
     assert outcomes == ["x: margin nan is not finite"] * 2
+
+
+def test_nan_misfit_first_in_a_later_column_does_not_hide_an_infinite_one():
+    # u level 1 has mass 5e-324, so its u part overflows to inf; level z=0's
+    # propensity underflows to 0.0, so that column's first misfit is
+    # |0.5 - 0 * inf| = NaN and the next one is infinite.  The package reads
+    # the misfits column by column and the reference row by row; a max keeps
+    # a NaN only when it comes first, so both must find the infinite one.
+    tiny = 5e-324
+    world = DiscreteScenario(
+        z_support=[0.0, 1.0], z_pmf=[0.4, 0.6], u_support=[0.0, 1.0, 2.0],
+        u_pmf=[0.5, tiny, 0.5], treat=[[tiny, 0.5, tiny], [tiny, 0.9, tiny]],
+        outcome_mean=[[[0.5] * 3] * 2] * 2)
+    _pi, columns = conditions._fit_parts(world, *conditions._MULTIPLICATIVE)
+    first = [next(misfits) for _gamma, misfits in columns]
+    assert not math.isnan(first[0]) and math.isnan(first[1])
+    assert conditions.fit_multiplicative(world).residual_max == math.inf
+    for name, args in _calls(world):
+        assert _outcome(conditions, name, args) == _expected(name, args), name
