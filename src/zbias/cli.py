@@ -9,7 +9,8 @@ conditioning event, 4 internal error (any other exception, reported as
 ``error: internal: ...`` instead of a traceback).  Every error prints
 exactly one diagnostic line on stderr.  The environment variable
 ZBIAS_THREADS caps Monte Carlo parallelism (0 or unset means sequential;
-larger values are clamped to the number of 32768-draw chunks and of CPUs):
+larger values are clamped to the number of CPUs and of chunks the command
+runs, 32768-draw chunks for ``mc`` and 8192-row chunks for ``scatter``):
 ``mc`` uses threads, ``scatter`` worker processes.
 ``scatter`` writes its CSV to a temporary file that replaces ``--out`` only
 once every row is written.

@@ -363,24 +363,25 @@ def _thread_count(value: int, chunks: int, cpus: int | None) -> int:
     return max(1, min(value, chunks, cpus or 1))
 
 
-def _workers(draws: int) -> int:
-    """Workers for ``draws``: ZBIAS_THREADS (unset means 0), clamped."""
+def _workers(draws: int, size: int) -> int:
+    """ZBIAS_THREADS (unset means 0) clamped for ``draws`` in chunks of ``size``."""
     try:
         requested = int(os.environ.get("ZBIAS_THREADS", "0"))
     except ValueError:
         raise InvariantViolation("must be an integer", field="ZBIAS_THREADS") from None
-    return _thread_count(requested, -(-draws // _CHUNK), os.cpu_count())
+    return _thread_count(requested, -(-draws // size), os.cpu_count())
 
 
-def _in_order(work, cfg: McConfig, workers: int, make_pool):
+def _in_order(work, cfg: McConfig, size: int, workers: int, make_pool):
     """``work(cfg, chunk)`` of every chunk of ``cfg.draws``, in draw order.
 
-    With more than one worker the chunks run in the ``make_pool(workers)``
-    pool.  The chunk plan is walked lazily, and at most ``workers + 1``
-    chunks are submitted and not yet consumed, so memory does not grow with
-    the draw count.
+    Chunks are ``size`` draws (the last may be shorter): ``_CHUNK`` for
+    ``mc``, 8,192 for the CSV text of ``scatter``.  With more than one worker
+    the chunks run in the ``make_pool(workers)`` pool.  The chunk plan is
+    walked lazily, and at most ``workers + 1`` chunks are submitted and not
+    yet consumed, so memory does not grow with the draw count.
     """
-    plan = ((start, min(_CHUNK, cfg.draws - start)) for start in range(0, cfg.draws, _CHUNK))
+    plan = ((start, min(size, cfg.draws - start)) for start in range(0, cfg.draws, size))
     if workers == 1:
         for chunk in plan:
             yield work(cfg, chunk)
@@ -410,7 +411,8 @@ def estimate_volume(cfg: McConfig) -> McResult:
     standard error; exact ties are excluded from the count and reported.
     ZBIAS_THREADS sets the worker threads (see ``_thread_count``)."""
     count = ties = 0
-    blocks = _in_order(_volume_block, cfg, _workers(cfg.draws), ThreadPoolExecutor)
+    size = _CHUNK
+    blocks = _in_order(_volume_block, cfg, size, _workers(cfg.draws, size), ThreadPoolExecutor)
     with closing(blocks):
         for block_count, block_ties, redraws in blocks:
             _log_redraws(cfg.seed, redraws)
@@ -426,6 +428,7 @@ def _scatter_block(cfg: McConfig, chunk: tuple[int, int]) -> tuple[bytes, list[i
     The one row formatter of ``export_scatter``, run in-process when it is
     sequential and in worker processes otherwise.  A worker receives only
     ``(cfg, chunk)`` and regenerates the chunk from its Philox counters.
+    A chunk of 8,192 rows is about 2 MB of text, held at most twice.
     """
     rows, redraws = _chunk_draws(cfg, *chunk)
     bias_adj, bias_unadj = population_biases(rows)
@@ -460,6 +463,15 @@ def _process_pool(workers: int):
 
 
 @contextmanager
+def _naming(path):
+    """Re-raise an ``OSError`` as one that names ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
+@contextmanager
 def _replacing(path):
     """Binary handle whose bytes become the file at ``path`` only when the
     ``with`` block completes.
@@ -470,34 +482,37 @@ def _replacing(path):
     A new file gets the mode ``open(path, "w")`` would give it, an existing
     one keeps its mode.  A target that exists and is not a regular file (a
     FIFO, a device) is written in place: replacing it would destroy the node.
+    An ``OSError`` in opening, checking or moving the file names ``path`` as
+    given, not the path it resolves to nor the temporary file.
     """
     target = os.path.realpath(path)
+    temp = None
+    with _naming(path):
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            handle = open(target, "wb")
+        elif mode is not None and not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        else:
+            head, tail = os.path.split(target)
+            temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+            # Mode 0o666 less the umask, as open() creates files.
+            handle = open(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
     try:
-        mode = os.stat(target).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(target, "wb") as handle:
+        with handle:
+            if temp and mode is not None:
+                os.fchmod(handle.fileno(), stat.S_IMODE(mode))
             yield handle
-        return
-    if mode is not None and not os.access(target, os.W_OK):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-    head, tail = os.path.split(target)
-    temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-    try:
-        # Mode 0o666 less the umask, as open() creates files.
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with open(fd, "wb") as handle:
-            if mode is not None:
-                os.chmod(temp, stat.S_IMODE(mode))
-            yield handle
-        os.replace(temp, target)
+        if temp:
+            with _naming(path):
+                os.replace(temp, target)
     except BaseException:
-        with suppress(OSError):
-            os.unlink(temp)
+        if temp:
+            with suppress(OSError):
+                os.unlink(temp)
         raise
 
 
@@ -505,12 +520,13 @@ def export_scatter(cfg: McConfig, path) -> int:
     """Write one CSV row per draw: the ten parameters, both biases, and the
     amplification flag.  Returns the data row count.
 
-    Chunks are streamed to ``path`` in draw order, and the file appears
-    only once every row is written.  With more than one worker (ZBIAS_THREADS,
-    see ``_thread_count``) the rows are formatted in worker processes; the
-    bytes do not depend on the worker count.
+    Chunks of ``min(_CHUNK, _BLOCK)`` = 8,192 rows stream to ``path`` in
+    draw order, and the file appears only once every row is written.  With
+    more than one worker (ZBIAS_THREADS, clamped to these chunks) the rows
+    are formatted in worker processes; the bytes do not depend on it.
     """
-    blocks = _in_order(_scatter_block, cfg, _workers(cfg.draws), _process_pool)
+    size = min(_CHUNK, _BLOCK)
+    blocks = _in_order(_scatter_block, cfg, size, _workers(cfg.draws, size), _process_pool)
     with _replacing(path) as handle, closing(blocks):
         handle.write(SCATTER_HEADER.encode("ascii") + b"\n")
         for block, redraws in blocks:

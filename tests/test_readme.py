@@ -23,3 +23,16 @@ def test_cli_reference_names_every_command_and_theorem():
     assert commands == list(cli._HANDLERS)
     (check,) = [row for row in rows if row.startswith("| `check ")]
     assert check.rstrip(" |").split("`")[-2].split() == list(cli._THEOREMS)
+
+
+def test_quoted_chunk_sizes_match_the_code():
+    # Every chunk size the docs quote is written "N-draw chunk" (mc) or
+    # "N-row chunk" (scatter), so none can go stale unchecked.
+    from zbias import cli, montecarlo
+
+    sizes = {"draw": montecarlo._CHUNK, "row": min(montecarlo._CHUNK, montecarlo._BLOCK)}
+    for text in (README.read_text(encoding="utf-8"), cli.__doc__):
+        quoted = re.findall(r"(\d[\d,]*)-(draw|row) chunk", text)
+        assert {unit for _, unit in quoted} == set(sizes)
+        assert all(int(n.replace(",", "")) == sizes[unit] for n, unit in quoted)
+        assert not re.search(r"chunks? of \d", text)
