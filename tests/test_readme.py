@@ -1,5 +1,6 @@
-"""The README's Python API example runs as written, and its CLI reference
-names the commands and theorems the CLI accepts."""
+"""The README's Python API example runs as written, its CLI reference
+names the commands and theorems the CLI accepts, and the chunk sizes it and
+the ``cli`` docstring quote are the ones the code runs."""
 
 import re
 from pathlib import Path
