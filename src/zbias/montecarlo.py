@@ -372,20 +372,27 @@ def _workers(draws: int, size: int) -> int:
     return _thread_count(requested, -(-draws // size), os.cpu_count())
 
 
-def _in_order(work, cfg: McConfig, size: int, workers: int, make_pool):
+def _in_order(work, cfg: McConfig, size: int, make_pool):
     """``work(cfg, chunk)`` of every chunk of ``cfg.draws``, in draw order.
 
     Chunks are ``size`` draws (the last may be shorter): ``_CHUNK`` for
-    ``mc``, 8,192 for the CSV text of ``scatter``.  With more than one worker
-    the chunks run in the ``make_pool(workers)`` pool.  The chunk plan is
-    walked lazily, and at most ``workers + 1`` chunks are submitted and not
-    yet consumed, so memory does not grow with the draw count.
+    ``mc``, 8,192 for the CSV text of ``scatter``.  ZBIAS_THREADS is read
+    and checked here, before any chunk runs, and clamped to these chunks
+    (``_workers``).  With more than one worker the chunks run in the
+    ``make_pool(workers)`` pool.  The chunk plan is walked lazily, and at
+    most ``workers + 1`` chunks are submitted and not yet consumed, so
+    memory does not grow with the draw count.
     """
+    workers = _workers(cfg.draws, size)
     plan = ((start, min(size, cfg.draws - start)) for start in range(0, cfg.draws, size))
     if workers == 1:
-        for chunk in plan:
-            yield work(cfg, chunk)
-        return
+        return (work(cfg, chunk) for chunk in plan)
+    return _pooled(work, cfg, plan, make_pool, workers)
+
+
+def _pooled(work, cfg: McConfig, plan, make_pool, workers: int):
+    """``_in_order``'s window of ``workers + 1`` chunks, in a pool made
+    only once the first result is asked for."""
     pool = make_pool(workers)
     try:
         window = deque()
@@ -411,8 +418,7 @@ def estimate_volume(cfg: McConfig) -> McResult:
     standard error; exact ties are excluded from the count and reported.
     ZBIAS_THREADS sets the worker threads (see ``_thread_count``)."""
     count = ties = 0
-    size = _CHUNK
-    blocks = _in_order(_volume_block, cfg, size, _workers(cfg.draws, size), ThreadPoolExecutor)
+    blocks = _in_order(_volume_block, cfg, _CHUNK, ThreadPoolExecutor)
     with closing(blocks):
         for block_count, block_ties, redraws in blocks:
             _log_redraws(cfg.seed, redraws)
@@ -504,7 +510,7 @@ def _replacing(path):
     try:
         with handle:
             if temp and mode is not None:
-                os.fchmod(handle.fileno(), stat.S_IMODE(mode))
+                os.chmod(temp, stat.S_IMODE(mode))
             yield handle
         if temp:
             with _naming(path):
@@ -525,8 +531,10 @@ def export_scatter(cfg: McConfig, path) -> int:
     more than one worker (ZBIAS_THREADS, clamped to these chunks) the rows
     are formatted in worker processes; the bytes do not depend on it.
     """
-    size = min(_CHUNK, _BLOCK)
-    blocks = _in_order(_scatter_block, cfg, size, _workers(cfg.draws, size), _process_pool)
+    # Capped at _BLOCK rather than a constant of its own, so tests that patch
+    # _CHUNK still drive small chunks; 8,192 rows set scatter's memory bound,
+    # and retuning _BLOCK for the kernel moves that bound too.
+    blocks = _in_order(_scatter_block, cfg, min(_CHUNK, _BLOCK), _process_pool)
     with _replacing(path) as handle, closing(blocks):
         handle.write(SCATTER_HEADER.encode("ascii") + b"\n")
         for block, redraws in blocks:

@@ -48,7 +48,6 @@ none.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from itertools import repeat
 from operator import itemgetter
 
@@ -193,14 +192,13 @@ def _pop_bool(entries: _Entries, key: str, default: bool) -> bool:
     raise ScenarioFormatError(f"{key}: expected true or false, got {text!r}", entries.line(key))
 
 
-@lru_cache(maxsize=32)  # bounded: the shapes come from files
-def _names(base: str, shape: tuple[int, ...]) -> tuple[str, ...]:
+def _names(base: str, shape: tuple[int, ...]) -> list[str]:
     """Canonical key names of a table, row-major: treat[0][0], treat[0][1], ..."""
     names = [base]
     for size in shape:
         suffixes = [f"[{k}]" for k in range(size)]
         names = [name + suffix for name in names for suffix in suffixes]
-    return tuple(names)
+    return names
 
 
 def _pop_tables(entries: _Entries, shapes: dict[str, tuple[int, ...]]):

@@ -1093,3 +1093,13 @@ def test_scatter_onto_a_directory_names_out_as_given(tmp_path, monkeypatch, caps
     assert captured.out == ""
     assert captured.err == f"error: [Errno 21] Is a directory: {given!r}\n"
     assert sorted(os.listdir(tmp_path)) == ["link"]
+
+
+def test_bad_thread_count_is_reported_before_out_is_opened(tmp_path, monkeypatch, capsys):
+    # ZBIAS_THREADS is checked when the chunk walk is set up, before --out
+    # is touched, so a bad value wins over an unusable --out.
+    monkeypatch.setenv("ZBIAS_THREADS", "x")
+    monkeypatch.chdir(tmp_path)
+    assert main(["scatter", "--draws", "5", "--seed", "1", "--out", ""]) == 1
+    assert capsys.readouterr().err == "error: ZBIAS_THREADS: must be an integer\n"
+    assert os.listdir(tmp_path) == []
