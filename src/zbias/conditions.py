@@ -124,8 +124,8 @@ def _report(condition_id: str, runs: list) -> ConditionReport:
 
 def _witnesses(runs) -> list:
     """A Witness per violated comparison, in order.  Cell k of a run is its
-    template with ``at`` (a number) and with labels k and k + 1 as ``lo``
-    and ``hi``; each label sequence is formatted once."""
+    template with ``at`` and with labels k and k + 1 as ``lo`` and ``hi``
+    (or k + 1 alone as ``hi``); each label sequence is formatted once."""
     witnesses, texts, floor = [], {}, -IDENTITY_TOL
     for cell, lhs, rhs, slack in runs:
         if type(cell) is str:
@@ -134,7 +134,8 @@ def _witnesses(runs) -> list:
             template, labels, at = cell
             text = texts.get(id(labels)) or texts.setdefault(id(labels), [*map(str, labels)])
             cell = template.replace("%", "%%").format(at=at, lo="%s", hi="%s")
-            witnesses += [Witness(cell % (text[k], text[k + 1]), lhs[k], rhs[k]) for k in hits]
+            names = [*zip(text, text[1:])] if "{lo}" in template else [*zip(text[1:])]
+            witnesses += [Witness(cell % names[k], lhs[k], rhs[k]) for k in hits]
     return witnesses
 
 
@@ -155,9 +156,9 @@ def _equal(cell, lhs, rhs):
                             else list(map(neg, map(abs, map(sub, lhs, rhs)))))
 
 
-def _nondecreasing(values, labels, template, at=None):
+def _nondecreasing(values, labels, template):
     """A one-run list requiring values to be weakly increasing along labels."""
-    return [_at_least((template, labels, at), values[1:], values[:-1])]
+    return [_at_least((template, labels, None), values[1:], values[:-1])]
 
 
 def _treated_prob_by_u(s: DiscreteScenario) -> list[float]:
@@ -233,20 +234,17 @@ class MultiplicativeDecomposition(_Decomposition):
     """treat(z,u) ~ z_effect(z) * u_effect(u), normalised so E[u_effect(U)] = 1."""
 
 
-def _fit_parts(s: DiscreteScenario, split, residual):
-    """pi (the propensity), then per u level, computed when reached, its u part gamma
-    ``split(Pr(A=1|U=u), Pr(A=1))`` and its column's |``residual(column, pi, gamma)``|."""
+def _fit_treatment(s: DiscreteScenario, cls, split, residual):
+    """pi (the propensity), per u level its part ``split(Pr(A=1|U=u), Pr(A=1))``
+    and the largest |``residual(column, pi, part)``|: misfits are >= 0 or NaN,
+    so a max over them in any order from cell (0, 0) is the same."""
     pi = _propensity_values(s)
     f = _treated_fraction(s.z_pmf, pi)
-    return pi, ((g, map(abs, residual(column, pi, repeat(g)))) for column in zip(*s.treat)
-                for g in [split(_treated_fraction(s.z_pmf, column), f)])
-
-
-def _fit_treatment(s: DiscreteScenario, cls, split, residual):
-    # Misfits are >= 0 or NaN, so a max over them in any order from cell (0, 0) is the same.
-    pi, columns = _fit_parts(s, split, residual)
-    gamma, misfits = zip(*columns)
-    return cls(s.z_support, tuple(pi), s.u_support, gamma, max(chain.from_iterable(misfits)))
+    columns = list(zip(*s.treat))
+    gamma = tuple(split(_treated_fraction(s.z_pmf, column), f) for column in columns)
+    misfits = chain.from_iterable(
+        map(abs, residual(column, pi, repeat(g))) for column, g in zip(columns, gamma))
+    return cls(s.z_support, tuple(pi), s.u_support, gamma, max(misfits))
 
 
 def fit_additive(s: DiscreteScenario) -> AdditiveDecomposition:
@@ -259,15 +257,6 @@ def fit_additive(s: DiscreteScenario) -> AdditiveDecomposition:
                           lambda t, pi, g: map(sub, map(sub, t, pi), g))
 
 
-def fit_multiplicative(s: DiscreteScenario) -> MultiplicativeDecomposition:
-    """Best multiplicative decomposition; requires a strictly positive table."""
-    if not min(map(min, s.treat)) > 0.0:
-        i, j = next((i, j) for i, row in enumerate(s.treat) for j, t in enumerate(row) if t <= 0.0)
-        raise NonpositiveCellError(f"treat[{i}][{j}] = {s.treat[i][j]!r}: "
-                                   "multiplicative fit needs strictly positive cells")
-    return _fit_treatment(s, MultiplicativeDecomposition, *_MULTIPLICATIVE)
-
-
 def _ratio_to_treated(p: float, f: float) -> float:
     # Positive cells can still give Pr(A=1) = 0.0 when their products underflow.
     if f == 0.0:
@@ -276,8 +265,14 @@ def _ratio_to_treated(p: float, f: float) -> float:
     return p / f
 
 
-# fit_multiplicative's split and residual, shared with the collider's early stop.
-_MULTIPLICATIVE = (_ratio_to_treated, lambda t, pi, g: map(sub, t, map(mul, pi, g)))
+def fit_multiplicative(s: DiscreteScenario) -> MultiplicativeDecomposition:
+    """Best multiplicative decomposition; requires a strictly positive table."""
+    if not min(map(min, s.treat)) > 0.0:
+        i, j = next((i, j) for i, row in enumerate(s.treat) for j, t in enumerate(row) if t <= 0.0)
+        raise NonpositiveCellError(f"treat[{i}][{j}] = {s.treat[i][j]!r}: "
+                                   "multiplicative fit needs strictly positive cells")
+    return _fit_treatment(s, MultiplicativeDecomposition, _ratio_to_treated,
+                          lambda t, pi, g: map(sub, t, map(mul, pi, g)))
 
 
 def _monotone_effect_checks(s: DiscreteScenario, dec) -> list:
@@ -434,17 +429,15 @@ def check_collider_association(s: DiscreteScenario, arm: int) -> list[ConditionR
         for u, column in zip(s.u_support, columns)
     ])]
 
-    # Arm first: the multiplicative fit runs only where its answer is used, and only up to
-    # the misfit that decides residual_max <= tol: the first (a NaN fails) or one above it.
-    if arm == 1 and min(map(min, s.treat)) > 0.0:
-        misfits = chain.from_iterable(m for _g, m in _fit_parts(s, *_MULTIPLICATIVE)[1])
-        if next(misfits) <= VALIDATION_TOL and not any(m > VALIDATION_TOL for m in misfits):
-            # Each level against the first: comparison k names label k + 1.
-            labels = labels[:1] + labels
-            reports.append(_report("collider.a1.indep", [
-                _equal(("F(u={at}|A=1,Z={hi})", labels, u), column, [column[0]] * len(column))
-                for u, column in zip(s.u_support, columns)
-            ]))
+    # Arm first: the multiplicative fit runs only where its answer is used.
+    if (arm == 1 and min(map(min, s.treat)) > 0.0
+            and fit_multiplicative(s).residual_max <= VALIDATION_TOL):
+        # Each level against the first: comparison k names label k + 1.
+        labels = labels[:1] + labels
+        reports.append(_report("collider.a1.indep", [
+            _equal(("F(u={at}|A=1,Z={hi})", labels, u), column, [column[0]] * len(column))
+            for u, column in zip(s.u_support, columns)
+        ]))
     return reports
 
 

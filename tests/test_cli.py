@@ -257,6 +257,16 @@ def test_dce_non_finite_threshold_is_validation_error(case1_file, value):
     assert cp.stderr == "error: threshold: must be finite\n"
 
 
+def test_dce_negative_threshold_spellings_that_parse(case1_file):
+    # A separate plain negative decimal is a value; an exponent form needs "=".
+    cp = run_cli("dce", case1_file, "--threshold", "-0.5")
+    assert (cp.returncode, cp.stderr) == (0, "")
+    assert '"threshold": -0.5' in cp.stdout
+    cp = run_cli("dce", case1_file, "--threshold=-1e-3")
+    assert (cp.returncode, cp.stderr) == (0, "")
+    assert json.loads(cp.stdout)["threshold"] == -1e-3
+
+
 def test_non_finite_potential_outcome_is_validation_error(tmp_path):
     path = tmp_path / "inf.scn"
     path.write_text(

@@ -242,6 +242,39 @@ def test_collider_constant_treatment_margin_zero():
     assert reports[0].margin == pytest.approx(0.0, abs=1e-15)
 
 
+def test_collider_decides_multiplicativity_with_the_one_treatment_fit(monkeypatch):
+    # Only arm 1 on a strictly positive table asks whether it is multiplicative.
+    calls = []
+    fit = conditions._fit_treatment
+    monkeypatch.setattr(conditions, "_fit_treatment",
+                        lambda *args: calls.append(args[1]) or fit(*args))
+    positive = multiplicative_model_scenario()
+    zero_cell = additive_model_scenario(base=0.0)
+    for world, arm, fits in ((positive, 1, 1), (positive, 0, 0), (zero_cell, 1, 0),
+                             (zero_cell, 0, 0)):
+        calls.clear()
+        check_collider_association(world, arm)
+        assert calls == [conditions.MultiplicativeDecomposition] * fits, (arm, fits)
+
+
+def test_violated_collider_independence_names_its_cells(tmp_path, capsys):
+    # Multiplicative within 1e-9, so indep is reported, but F(u|A=1,z) moves by
+    # about 1e-10 in z: its witnesses name one instrument level each.
+    s = multiplicative_model_scenario()
+    treat = [list(row) for row in s.treat]
+    treat[1][1] *= 1 + 1e-9
+    path = tmp_path / "near.scn"
+    path.write_text(serialize_scenario(DiscreteScenario(
+        z_support=s.z_support, z_pmf=s.z_pmf, u_support=s.u_support, u_pmf=s.u_pmf,
+        treat=treat, outcome_mean=s.outcome_mean, binary_outcome=True)))
+    assert main(["check", str(path), "--theorem", "collider"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    indep = {r["condition_id"]: r for r in json.loads(captured.out)}["collider.a1.indep"]
+    assert not indep["holds"]
+    assert [w["cell"] for w in indep["witnesses"]] == ["F(u=0.0|A=1,Z=1.0)"]
+
+
 # ---------------------------------------------------------------------------
 # Lemma conclusion verifiers
 

@@ -336,9 +336,45 @@ def test_nan_misfit_first_in_a_later_column_does_not_hide_an_infinite_one():
         z_support=[0.0, 1.0], z_pmf=[0.4, 0.6], u_support=[0.0, 1.0, 2.0],
         u_pmf=[0.5, tiny, 0.5], treat=[[tiny, 0.5, tiny], [tiny, 0.9, tiny]],
         outcome_mean=[[[0.5] * 3] * 2] * 2)
-    _pi, columns = conditions._fit_parts(world, *conditions._MULTIPLICATIVE)
-    first = [next(misfits) for _gamma, misfits in columns]
+    pi = [math.fsum(p * t for p, t in zip(world.u_pmf, row)) for row in world.treat]
+    treated = math.fsum(p * x for p, x in zip(world.z_pmf, pi))
+    gamma = [math.fsum(p * t for p, t in zip(world.z_pmf, column)) / treated
+             for column in zip(*world.treat)]
+    first = [abs(world.treat[0][j] - pi[0] * g) for j, g in enumerate(gamma)]
     assert not math.isnan(first[0]) and math.isnan(first[1])
     assert conditions.fit_multiplicative(world).residual_max == math.inf
     for name, args in _calls(world):
         assert _outcome(conditions, name, args) == _expected(name, args), name
+
+
+def _near_product_world(n_z, n_u, scale):
+    """An exactly multiplicative treatment table with its last cell scaled."""
+    rows = [0.3 + 0.6 * (i + 1) / n_z for i in range(n_z)]
+    cols = [0.2 + 0.8 * (j + 1) / n_u for j in range(n_u)]
+    treat = [[r * c for c in cols] for r in rows]
+    treat[-1][-1] *= scale
+    return DiscreteScenario(
+        z_support=list(range(n_z)), z_pmf=[1 / n_z] * n_z, u_support=list(range(n_u)),
+        u_pmf=[1 / n_u] * n_u, treat=treat, outcome_mean=[[[0.5] * n_u] * n_z] * 2)
+
+
+def test_collider_multiplicativity_at_the_tolerance_edge():
+    # collider.a1.indep is reported exactly when the multiplicative residual is
+    # at most 1e-9; these tables put it at about half and five times that edge.
+    tiny = 5e-324
+    nan_first = DiscreteScenario(
+        z_support=[0.0, 1.0], z_pmf=[0.4, 0.6], u_support=[0.0, 1.0, 2.0],
+        u_pmf=[0.5, tiny, 0.5], treat=[[tiny, 0.5, tiny], [tiny, 0.9, tiny]],
+        outcome_mean=[[[0.5] * 3] * 2] * 2)
+    near = [(_near_product_world(n_z, n_u, 1.0 + eps), residual)
+            for n_z, n_u, below, above in ((2, 2, 3.7e-9, 3.7e-8), (32, 16, 6.5e-10, 6.5e-9))
+            for eps, residual in ((below, 5e-10), (above, 5e-9))]
+    for world, residual in near:
+        assert residual / 2 < conditions.fit_multiplicative(world).residual_max < residual * 2
+        reported = [r.condition_id for r in conditions.check_collider_association(world, 1)]
+        assert ("collider.a1.indep" in reported) == (residual < 1e-9), residual
+    for world, residual in [*near, (nan_first, math.inf)]:
+        names = [("fit_multiplicative", (world,))] + [
+            ("check_collider_association", (world, arm)) for arm in (0, 1)]
+        for name, args in names:
+            assert _outcome(conditions, name, args) == _expected(name, args), (name, residual)
