@@ -59,7 +59,8 @@ class McConfig:
 
     def __post_init__(self):
         for name in ("draws", "seed"):
-            if not isinstance(getattr(self, name), Integral):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
                 raise InvariantViolation("must be an integer", field=name)
         if self.draws < 1:
             raise InvariantViolation("must be at least 1", field="draws")
@@ -114,8 +115,16 @@ def draw_scenario(stream: ScenarioStream) -> BinaryScenario:
 
 def _param_draws(seed: int, start: int, count: int) -> tuple[np.ndarray, list[int]]:
     """Parameters of draws [start, start + count), degenerate rows redrawn,
-    and the draw index of every redraw made, in draw order."""
-    rows = primary_uniforms(seed, start, count)[:, :PARAMS_PER_DRAW]
+    and the draw index of every redraw made, in draw order.
+
+    The rows are column-major (each parameter column contiguous for the
+    projections and the kernel) and filled with one ``primary_uniforms``
+    call, an (n, 16) temporary, per ``_BLOCK`` draws.
+    """
+    rows = np.empty((PARAMS_PER_DRAW, count)).T
+    for s in range(0, count, _BLOCK):
+        e = min(s + _BLOCK, count)
+        rows[s:e] = primary_uniforms(seed, start + s, e - s)[:, :PARAMS_PER_DRAW]
     redraws = []
     # A zero treatment-side parameter (pZ, pU or a treatment cell) can empty
     # a conditioning event; outcome parameters cannot.  A zero has
@@ -251,14 +260,14 @@ def population_biases(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Vectorised transcription of the whole-population formulas in the
     estimators module; the test suite pins the two routes together.
 
-    The rows are walked in blocks of ``_BLOCK``.  Each block is copied,
-    transposed, into a buffer of ten contiguous columns, so every ufunc
-    streams through contiguous memory that stays in the L2 cache instead of
-    striding through the row-major input.  The shared subexpressions
-    (``1 - p_u``, ``1 - p_z`` and the four products ``p_u*p11``,
-    ``(1-p_u)*p10``, ``p_u*p01``, ``(1-p_u)*p00`` behind both the
-    propensities and the treated numerators) are computed once, and each
-    temporary is overwritten in place once it is dead.
+    The rows are walked in blocks of ``_BLOCK``.  Each block is copied into
+    a buffer of ten contiguous columns that stays in the L2 cache, so every
+    ufunc streams through contiguous memory whatever the input's layout (on
+    the column-major rows of ``_param_draws`` the copy is ten contiguous
+    ones).  The shared subexpressions (``1 - p_u``, ``1 - p_z`` and the four
+    products ``p_u*p11``, ``(1-p_u)*p10``, ``p_u*p01``, ``(1-p_u)*p00``
+    behind both the propensities and the treated numerators) are computed
+    once, and each temporary is overwritten in place once it is dead.
 
     Bit rule: every floating-point operation keeps the operands and the
     evaluation order of the direct transcription (``p_u * p11 * r11`` is

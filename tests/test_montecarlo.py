@@ -175,6 +175,17 @@ def test_config_rejects_non_integer_counts(field, kwargs):
         McConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("draws", dict(draws=True, seed=1)),
+    ("seed", dict(draws=10, seed=False)),
+    ("seed", dict(draws=10, seed=np.True_)),
+])
+def test_config_rejects_booleans(field, kwargs):
+    # bool is an Integral, but True would print as "draws": True, which is not JSON.
+    with pytest.raises(InvariantViolation, match=f"^{field}: must be an integer$"):
+        McConfig(**kwargs)
+
+
 @pytest.mark.parametrize("spelling", ["cor1", ("cor1.a",), ("cor1", "cor2"), ["cor1"]],
                          ids=["string", "dotted", "two-names", "list"])
 def test_config_takes_one_filter_spelling(spelling):
@@ -686,6 +697,29 @@ def test_population_biases_bits_match_reference_on_any_layout():
     _assert_same_bits(rows[::-2, :])
 
 
+@pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7,
+                                   montecarlo._CHUNK])
+def test_params_are_column_major_and_match_one_philox_call(count):
+    # The rows are filled one _BLOCK of draws at a time; an unaligned start
+    # checks that every block reads its own counters.
+    rows = _params_matrix(6, 5, count)
+    assert rows.T.flags.c_contiguous
+    assert rows.tobytes() == primary_uniforms(6, 5, count)[:, :10].tobytes()
+
+
+def test_every_layout_gives_the_same_bits():
+    rows = _params_matrix(78, 0, 3 * _BLOCK + 5)
+    column_major = np.asfortranarray(rows)
+    assert column_major.flags.f_contiguous
+    _assert_same_bits(column_major)
+    for project in (_project_cor1, _project_cor2):
+        c_order, f_order = np.ascontiguousarray(rows), np.array(rows, order="F")
+        assert c_order.flags.c_contiguous and f_order.flags.f_contiguous
+        project(c_order, 78, 0)
+        project(f_order, 78, 0)
+        assert c_order.tobytes() == f_order.tobytes()
+
+
 def test_population_biases_bits_match_reference_at_extremes():
     tiny, top = 2.0**-53, 1.0 - 2.0**-53
     grid = np.array([tiny, 0.5, top])
@@ -756,6 +790,40 @@ def test_lone_treatment_zero_is_redrawn(monkeypatch, caplog, col):
     assert np.array_equal(rows[:-1], real_primary(seed, start, count - 1)[:, :10])
     assert np.array_equal(rows[-1], retry_uniforms(seed, start + count - 1, 0)[:10])
     assert len(caplog.records) == 1
+
+
+def test_redraws_in_later_fill_blocks_of_one_chunk(monkeypatch, caplog):
+    # Offsets 8,191 and 8,192 straddle the first fill-block boundary of the
+    # chunk at draw 32,768; 20,000 lies in its third block.
+    seed, start = 23, 32_768
+    planted = {start + 8_191: 0, start + 8_192: 3, start + 20_000: 5}
+    real_primary = montecarlo.primary_uniforms
+
+    def planted_primary(s, first, n):
+        out = real_primary(s, first, n)
+        for index, col in planted.items():
+            if first <= index < first + n:
+                out[index - first, col] = 0.0
+        return out
+
+    monkeypatch.setattr(montecarlo, "primary_uniforms", planted_primary)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    rows, redraws = _chunk_draws(McConfig(draws=2 * start, seed=seed), start, start)
+    assert redraws == sorted(planted)
+    expected = real_primary(seed, start, start)[:, :10]
+    for index in planted:
+        expected[index - start] = retry_uniforms(seed, index, 0)[:10]
+    assert rows.tobytes() == expected.tobytes()
+
+    messages = [f"degenerate draw {index} (seed {seed}): redrawing" for index in sorted(planted)]
+    volumes = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ZBIAS_THREADS", threads)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="zbias.montecarlo"):
+            volumes[threads] = estimate_volume(McConfig(draws=2 * start, seed=seed))
+        assert [r.getMessage() for r in caplog.records] == messages
+    assert volumes["1"] == volumes["2"]
 
 
 # ---------------------------------------------------------------------------
