@@ -437,14 +437,11 @@ def rr(s: DiscreteScenario, conditioning: Conditioning = "on_z") -> RrSet:
     Outcome means must be nonnegative (binary or positive outcomes); the
     adjusted slots divide the standardised means, never ratios of ratios.
     """
-    for a in (0, 1):
-        for i in range(s.n_z):
-            for j in range(s.n_u):
-                if s.outcome_mean[a][i][j] < 0.0:
-                    raise InvariantViolation(
-                        "ratio-scale estimands need nonnegative outcome means",
-                        field=f"mean[{a}][{i}][{j}]",
-                    )
+    if min(min(map(min, arm)) for arm in s.outcome_mean) < 0.0:
+        a, i, j = next((a, i, j) for a in (0, 1) for i in range(s.n_z)
+                       for j in range(s.n_u) if s.outcome_mean[a][i][j] < 0.0)
+        raise InvariantViolation("ratio-scale estimands need nonnegative outcome means",
+                                 field=f"mean[{a}][{i}][{j}]")
     _check_conditioning(conditioning)
     _require_no_direct_effect(s, allow_direct_effect=False)
     m = _moments(s)

@@ -146,13 +146,13 @@ def _grids(tables, n_rows: int, n_cols: int, unit=False):
     if not {*map(type, rows)} <= _SEQUENCES or {*map(len, rows)} != {n_cols}:
         return None
     try:
-        rows = [tuple(map(float, row)) for row in rows]
+        cells = list(map(float, chain.from_iterable(rows)))
     except (TypeError, ValueError, OverflowError):
         return None
-    if not math.isfinite(sum(map(sum, rows))) or unit and not (
-            0.0 <= min(map(min, rows)) and max(map(max, rows)) <= 1.0):
+    if not math.isfinite(sum(cells)) or unit and not (
+            0.0 <= min(cells) and max(cells) <= 1.0):
         return None
-    return tuple(_runs(rows, n_rows))
+    return tuple(_runs(_runs(cells, n_cols), n_rows))
 
 
 def _binary_table(table, head: str, **cells):

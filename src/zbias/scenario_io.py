@@ -33,23 +33,22 @@ wins.  Parsing is locale-independent (dot decimal separator).
 identity on all fields.
 
 A file is read in one of two ways, with the same result.  The bulk pass
-takes a file whose every line is one ``key = value`` pair with a key of its
-own, as ``serialize_scenario`` writes them: it splits, partitions and strips
-all lines with C-level passes, pops each table's canonical keys by name and
-converts a whole table with one ``map(float)``, so a 32x16 world costs a
-few passes over the text instead of one interpreted step per line.  Any
-file it does not take (a comment, blank line, stratum block, repeated key,
-or a key it cannot pop by name) and any fault it meets goes to the line
-walk, ``_scan``, which reads one line at a time and names the first fault
-in line order.  The bulk pass never asks for a line number, so it records
-none.
+takes a file whose every line is one ``key = value`` pair, one space on
+each side of ``=`` as ``serialize_scenario`` writes them, with a key of its
+own: it splits all lines at ``" = "`` in one C-level pass, pops each
+table's canonical keys by name and converts a whole table with one
+``map(float)``, so a 32x16 world costs a few passes over the text instead
+of one interpreted step per line.  Any file it does not take (a comment,
+blank line, stratum block, repeated key, other spacing, or a key it cannot
+pop by name) and any fault it meets goes to the line walk, ``_scan``,
+which reads one line at a time and names the first fault in line order.
+The bulk pass never asks for a line number, so it records none.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import repeat
-from operator import itemgetter
 
 from .errors import InvariantViolation, ScenarioFormatError
 from .scenario import (
@@ -152,15 +151,16 @@ def _scan(text: str):
 
 def _bulk_entries(text: str) -> _Entries:
     """The entries of a file whose every line is one ``key = value`` pair
-    with a key of its own, split and stripped in whole-file passes."""
+    with a key of its own, split at ``" = "`` in one pass and not stripped:
+    each value reader ignores padding or refuses it, and a padded key is
+    never popped by name, so it asks for its line."""
     lines = text.splitlines()
-    if not lines or "#" in text or text.count("=") < len(lines):
+    if not lines or "#" in text:
         raise _Walk
-    parts = list(map(str.partition, lines, repeat("=")))
-    if "" in map(itemgetter(1), parts):
-        raise _Walk
-    keys = map(str.strip, map(itemgetter(0), parts))
-    entries = _Entries(zip(keys, map(str.strip, map(itemgetter(2), parts))))
+    try:
+        entries = _Entries(map(str.split, lines, repeat(" = ")))
+    except ValueError:  # a line that is not one pair split at " = "
+        raise _Walk from None
     if len(entries) < len(lines):  # a repeated key
         raise _Walk
     return entries

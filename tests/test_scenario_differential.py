@@ -214,3 +214,27 @@ def test_overflowing_sums_name_their_field():
         reference.DiscreteScenario(**big)
     with pytest.raises(InvariantViolation, match=r"^z_pmf: must sum to 1, got inf$"):
         scenario.DiscreteScenario(**big)
+
+
+# Mean tables whose row sums and whole-table sum disagree about overflow, so
+# that a one-pass finiteness test over every cell and one over row sums would
+# send them down different paths; each path must build the reference world.
+_ZERO_ARM = ((0.0, 0.0), (0.0, 0.0))
+SUM_ORDER_MEANS = {
+    "rows finite, table overflows": (((1e308, 1.0), (1e308, -1e308)), _ZERO_ARM),
+    "a row overflows, table finite": (((-1e308, 0.0), (1e308, 1e308)), _ZERO_ARM),
+    "table overflows across arms": (((0.0, 0.0), (0.0, 1e308)), ((1e308, -1e308), (0.0, 0.0))),
+    "both overflow": (((MAX, MAX), (-MAX, -MAX)), _ZERO_ARM),
+}
+
+
+@pytest.mark.parametrize("mean", SUM_ORDER_MEANS.values(), ids=SUM_ORDER_MEANS.keys())
+def test_sums_that_overflow_in_one_grouping_only(mean):
+    kwargs = dict(z_support=(0, 1), z_pmf=(0.5, 0.5), u_support=(0, 1), u_pmf=(0.4, 0.6),
+                  treat=((0.1, 0.2), (0.6, 0.8)), outcome_mean=mean)
+    assert _outcome(scenario, "DiscreteScenario", kwargs)[0] == "ok"
+    assert _matches("DiscreteScenario", kwargs)
+    # Rows given as iterators are never tested in one pass, only walked.
+    walked = dict(kwargs, outcome_mean=[[iter(row) for row in arm] for arm in mean])
+    assert _outcome(scenario, "DiscreteScenario", walked) == _outcome(
+        scenario, "DiscreteScenario", kwargs)

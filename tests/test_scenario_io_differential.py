@@ -303,6 +303,16 @@ def _line_shape_cases():
             cases[f"{name} {space!r} around"] = "\n".join(
                 space + key + space + "=" + space + value + space
                 for key, _, value in (line.partition(" = ") for line in lines)) + "\n"
+        for spaced, shape in (("=", "key=value"), ("  = ", "key  = value"),
+                              (" =  ", "key =  value")):
+            cases[f"{name} {shape}"] = "\n".join(
+                line.replace(" = ", spaced, 1) for line in lines) + "\n"
+        for pad in ("  ", "\t", " \t"):
+            cases[f"{name} {pad!r} after values"] = "\n".join(
+                line + pad for line in lines) + "\n"
+        cases[f"{name} padded numbers"] = "\n".join(
+            line if line.startswith(("kind", "binary_outcome"))
+            else line.replace(" = ", " =  ", 1) + " \t" for line in lines) + "\n"
     cases["empty text"] = ""
     cases["blank text"] = " \n\t\n"
     cases["discrete = in law"] = DISCRETE_TEXT.replace("1:0.01", "1=0.01")
@@ -314,9 +324,17 @@ def _line_shape_cases():
         "treat[1][1] = 0.8\n", "") + "9lives = 1\n"
     cases["law values empty"] = re.sub(r"(law\[\d\]\[\d\] =).*", r"\1", DISCRETE_TEXT)
     cases["key alone, then two ="] = "\n".join(BINARY_LINES[:-1]) + "\nbinary_outcome\ntrue = r00 = 0.01\n"
+    binary = "\n".join([*BINARY_LINES, "binary_outcome = true"]) + "\n"
+    cases["kind = binary with a trailing space"] = binary.replace("binary\n", "binary \n", 1)
+    cases["binary_outcome = true with a trailing space"] = binary.replace("true\n", "true \n")
+    cases["empty value pZ = "] = binary.replace("pZ = 0.5", "pZ = ")
+    cases["empty value pZ ="] = binary.replace("pZ = 0.5", "pZ =")
+    cases["discrete ' = ' in law"] = DISCRETE_TEXT.replace("1:0.01", "1 = 0.01")
+    cases["discrete ' = ' ends law"] = DISCRETE_TEXT.replace("1:0.01", "1:0.01 = ")
     rnd = random.Random(21)
     bench = _bench_shaped_world(rnd)
     cases["bench-shaped 32x16"] = "\n".join(bench) + "\n"
+    cases["bench-shaped 32x16 tight spacing"] = "\n".join(bench).replace(" = ", "=") + "\n"
     cases["bench-shaped 32x16 shuffled"] = "\n".join(rnd.sample(bench, len(bench))) + "\n"
     cases["bench-shaped 32x16 law unordered"] = "\n".join(bench).replace(
         "law[1][15] = 0.0:", "law[1][15] = 0.0:0.5, 1.0:0.5, 2.0:") + "\n"
@@ -347,6 +365,7 @@ WALKED = {
     "leading zero": DISCRETE_TEXT.replace("treat[1][0]", "treat[01][0]"),
     "stratum blocks": FAMILY_TEXT,
     "bad number": DISCRETE_TEXT.replace("treat[0][1] = 0.2", "treat[0][1] = x"),
+    "tight spacing": DISCRETE_TEXT.replace(" = ", "="),
 }
 
 
