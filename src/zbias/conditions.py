@@ -19,6 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from math import fsum, isfinite
+from numbers import Integral
 from operator import mul, neg, sub, truediv
 
 from .errors import (
@@ -405,7 +406,7 @@ def check_collider_association(s: DiscreteScenario, arm: int) -> list[ConditionR
     checks that Z and U are conditionally independent (the conditional
     distribution of U does not move with z at all).
     """
-    if arm not in (0, 1):
+    if isinstance(arm, bool) or not isinstance(arm, Integral) or arm not in (0, 1):
         raise PremiseViolationError(f"arm must be 0 or 1, got {arm!r}")
     used = [i for i in range(s.n_z) if s.z_pmf[i] > 0.0]
     cdfs = []

@@ -49,32 +49,34 @@ def _as_float(value, name: str, finite: bool = False) -> float:
     return out
 
 
-def _float_tuple(values, name, finite: bool = False) -> tuple[float, ...]:
-    """Floats of ``values`` in one pass; on a fault each value is converted
-    again so that the first bad one is named ``name`` (``name(k)`` when
-    callable)."""
-    values = tuple(values)
+def _floats(values):
+    """The floats of ``values`` as a list (faster to build from ``map`` than
+    a tuple), in one pass, or None when a value does not convert or the sum
+    is not finite (a NaN or infinity to name)."""
     try:
-        out = tuple(map(float, values))
-        if math.isfinite(sum(out)):  # no NaN or infinity, so nothing to name
-            return out
+        out = [*map(float, values)]
     except (TypeError, ValueError, OverflowError):
-        pass
-    return tuple(_as_float(v, name(k) if callable(name) else name, finite)
-                 for k, v in enumerate(values))
+        return None
+    return out if math.isfinite(sum(out)) else None
+
+
+def _float_tuple(values, name, finite: bool = False) -> tuple[float, ...]:
+    """Floats of ``values`` by ``_floats``; on a fault each value is
+    converted again so that the first bad one is named ``name`` (``name(k)``
+    when callable)."""
+    values = tuple(values)
+    return tuple(_floats(values) or (
+        _as_float(v, name(k) if callable(name) else name, finite) for k, v in enumerate(values)))
 
 
 def _float_pairs(pairs, name, finite: bool) -> tuple[tuple[float, float], ...]:
-    """Float pairs (x, y) of ``pairs`` in one pass, x finite and y too when
-    ``finite``; on a fault the pairs are walked again in order, naming the
-    first bad value ``name`` (``name()`` when callable)."""
+    """Float pairs (x, y) of ``pairs`` by ``_floats``, x finite and y too
+    when ``finite``; on a fault the pairs are walked again in order, naming
+    the first bad value ``name`` (``name()`` when callable)."""
     pairs = tuple(pairs)
-    try:
-        flat = tuple(map(float, [c for x, y in pairs for c in (x, y)]))
-        if math.isfinite(sum(flat)):
-            return tuple(zip(flat[::2], flat[1::2]))
-    except (TypeError, ValueError, OverflowError):
-        pass
+    flat = _floats(c for x, y in pairs for c in (x, y))
+    if flat is not None:
+        return tuple(zip(flat[::2], flat[1::2]))
     name = name() if callable(name) else name
     return tuple((_as_float(x, name, True), _as_float(y, name, finite)) for x, y in pairs)
 
@@ -103,28 +105,6 @@ def _check_cells(row: tuple[float, ...], name, unit=False, finite=False) -> None
             raise InvariantViolation(f"must lie in [0, 1], got {value!r}", field=field)
 
 
-def _rows(table, name: str, n_rows: int | None = None) -> tuple[tuple[float, ...], ...]:
-    """A table's rows converted by ``_float_tuple``, row k named ``name[k]``;
-    with ``n_rows`` the row count is checked first."""
-    if n_rows is not None and len(table) != n_rows:
-        raise InvariantViolation(f"expected {n_rows} rows", field=name)
-    return tuple(_float_tuple(row, f"{name}[{k}]") for k, row in enumerate(table))
-
-
-def _check_table(rows, name: str, n_rows: int, n_cols: int, row_check=None,
-                 unit=False, finite=False) -> None:
-    """Shape and ``_check_cells`` of converted rows, row by row;
-    ``row_check(k, row)`` runs after each row's cell checks."""
-    if len(rows) != n_rows:
-        raise InvariantViolation(f"expected {n_rows} rows", field=name)
-    for k, row in enumerate(rows):
-        if len(row) != n_cols:
-            raise InvariantViolation(f"expected {n_cols} entries", field=f"{name}[{k}]")
-        _check_cells(row, f"{name}[{k}]", unit, finite)
-        if row_check is not None:
-            row_check(k, row)
-
-
 _SEQUENCES = {tuple, list}
 
 
@@ -133,26 +113,38 @@ def _runs(items, size: int):
     return zip(*[iter(items)] * size)
 
 
-def _grids(tables, n_rows: int, n_cols: int, unit=False):
-    """Tables of ``n_rows`` rows of ``n_cols`` floats, converted in one pass
-    when one test over every cell passes: each cell finite and, with
-    ``unit``, in [0, 1].  None when the test fails or ``tables``, a table or
-    a row is not a tuple or list (one that can be iterated again), for
-    ``_rows`` and ``_check_table`` to name the fault."""
-    if (type(tables) not in _SEQUENCES or not {*map(type, tables)} <= _SEQUENCES
-            or {*map(len, tables)} != {n_rows}):
-        return None
-    rows = list(chain.from_iterable(tables))
-    if not {*map(type, rows)} <= _SEQUENCES or {*map(len, rows)} != {n_cols}:
-        return None
-    try:
-        cells = list(map(float, chain.from_iterable(rows)))
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if not math.isfinite(sum(cells)) or unit and not (
-            0.0 <= min(cells) and max(cells) <= 1.0):
-        return None
-    return tuple(_runs(_runs(cells, n_cols), n_rows))
+def _grids(tables, names, n_rows: int, n_cols: int, unit=False, finite=False, row_check=None):
+    """``tables`` (table t named ``names[t]``) as ``n_rows`` rows of
+    ``n_cols`` floats, each cell finite (when ``finite``) and in [0, 1]
+    (when ``unit``); ``row_check(k, row)`` then runs on each table's row k.
+    Tuple and list tables are converted in one pass when one test over every
+    cell passes.  Otherwise every row is converted by ``_float_tuple`` and
+    each table walked (row count, then per row its entry count, cells and
+    ``row_check``) to name the first fault."""
+    cells = None
+    if (type(tables) in _SEQUENCES and {*map(type, tables)} <= _SEQUENCES
+            and {*map(len, tables)} == {n_rows}):
+        rows = list(chain.from_iterable(tables))
+        if {*map(type, rows)} <= _SEQUENCES and {*map(len, rows)} == {n_cols}:
+            cells = _floats(chain.from_iterable(rows))
+    if cells is not None and (not unit or 0.0 <= min(cells) and max(cells) <= 1.0):
+        grids = tuple(_runs(_runs(cells, n_cols), n_rows))
+        if row_check is not None:  # no cell fault is left to come first
+            for k, row in enumerate(chain.from_iterable(grids)):
+                row_check(k % n_rows, row)
+        return grids
+    grids = tuple(tuple(_float_tuple(row, f"{name}[{k}]") for k, row in enumerate(table))
+                  for name, table in zip(names, tables))
+    for name, table in zip(names, grids):
+        if len(table) != n_rows:
+            raise InvariantViolation(f"expected {n_rows} rows", field=name)
+        for k, row in enumerate(table):
+            if len(row) != n_cols:
+                raise InvariantViolation(f"expected {n_cols} entries", field=f"{name}[{k}]")
+            _check_cells(row, f"{name}[{k}]", unit, finite)
+            if row_check is not None:
+                row_check(k, row)
+    return grids
 
 
 def _binary_table(table, head: str, **cells):
@@ -246,26 +238,19 @@ class DiscreteScenario:
         object.__setattr__(self, "binary_outcome", bool(self.binary_outcome))
         _check_strictly_increasing(self.z_support, "z_support")
         _check_strictly_increasing(self.u_support, "u_support")
-        _check_pmf(self.z_pmf, self.n_z, "z_pmf")
-        _check_pmf(self.u_pmf, self.n_u, "u_pmf")
+        n_z, n_u = self.n_z, self.n_u
+        _check_pmf(self.z_pmf, n_z, "z_pmf")
+        _check_pmf(self.u_pmf, n_u, "u_pmf")
 
         # Each table is tested whole; only a failed test walks its rows.
-        treat = _grids((self.treat,), self.n_z, self.n_u, unit=True)
-        if treat is None:
-            treat = _rows(self.treat, "treat", self.n_z)
-            _check_table(treat, "treat", self.n_z, self.n_u, unit=True)
-        else:
-            treat = treat[0]
+        if len(self.treat) != n_z:  # counted before any row is converted
+            raise InvariantViolation(f"expected {n_z} rows", field="treat")
+        treat, = _grids((self.treat,), ("treat",), n_z, n_u, unit=True)
         object.__setattr__(self, "treat", treat)
-
         if len(self.outcome_mean) != 2:
             raise InvariantViolation("expected tables for a=0 and a=1", field="mean")
-        mean = _grids(self.outcome_mean, self.n_z, self.n_u, unit=self.binary_outcome)
-        if mean is None:
-            mean = tuple(_rows(arm, f"mean[{a}]") for a, arm in enumerate(self.outcome_mean))
-            for a, arm in enumerate(mean):
-                _check_table(arm, f"mean[{a}]", self.n_z, self.n_u,
-                             finite=True, unit=self.binary_outcome)
+        mean = _grids(self.outcome_mean, ("mean[0]", "mean[1]"), n_z, n_u,
+                      finite=True, unit=self.binary_outcome)
         object.__setattr__(self, "outcome_mean", mean)
         if self.outcome_law is not None:
             law = self._uniform_law()
@@ -405,9 +390,11 @@ class PotentialOutcomeScenario:
                     field=f"treat[{k}]",
                 )
 
-        treat = _rows(self.treat, "treat", self.n_pi)
+        if len(self.treat) != self.n_pi:  # counted before any row is converted
+            raise InvariantViolation(f"expected {self.n_pi} rows", field="treat")
+        treat, = _grids((self.treat,), ("treat",), self.n_pi, len(pairs), unit=True,
+                        row_check=implies_pi)
         object.__setattr__(self, "treat", treat)
-        _check_table(treat, "treat", self.n_pi, len(pairs), row_check=implies_pi, unit=True)
 
     @property
     def n_pi(self) -> int:
@@ -523,6 +510,7 @@ def collapse_by_propensity(
     mass-weighted averages.  The result has an injective propensity map, and
     collapsing an already collapsed scenario returns it unchanged.
     """
+    tol = _as_float(tol, "tol")
     if tol < 0.0:
         raise InvariantViolation("must be nonnegative", field="tol")
     pi = _propensity_values(scenario)

@@ -12,6 +12,7 @@ from zbias import (
     McConfig,
     PotentialOutcomeScenario,
     RrSet,
+    collapse_by_propensity,
     dce,
     serialize_scenario,
     to_discrete,
@@ -31,6 +32,8 @@ def _case1():
         (lambda: CovariateFamily(()), "strata: must contain at least one stratum"),
         (lambda: dce(_case1(), math.inf), "threshold: must be finite"),
         (lambda: dce(_case1(), math.nan), "threshold: must be finite"),
+        (lambda: collapse_by_propensity(_case1(), math.nan), "tol: must not be NaN"),
+        (lambda: collapse_by_propensity(_case1(), "x"), "tol: must be a number"),
         (lambda: McConfig(draws=1, seed=2**64), "seed: must fit in 64 bits"),
         (lambda: McConfig(draws=1, seed=-1), "seed: must fit in 64 bits"),
         (lambda: serialize_scenario(object()), "cannot serialize object"),
@@ -38,7 +41,8 @@ def _case1():
         (lambda: RrSet(1.0, 2.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.5, "on_z"),
          "true_all: whole-population ratio must lie between the treated and control ratios"),
     ],
-    ids=["empty y_pairs", "empty family", "dce inf", "dce nan", "seed 2**64", "seed -1",
+    ids=["empty y_pairs", "empty family", "dce inf", "dce nan", "collapse tol nan",
+         "collapse tol str", "seed 2**64", "seed -1",
          "serialize object", "rr mediant"],
 )
 def test_api_only_guards(build, message):

@@ -227,6 +227,19 @@ def test_collider_additive_scenario_holds_both_arms():
         assert reports[0].holds
 
 
+@pytest.mark.parametrize("arm", [True, False, 1.0, 0.0, 2, -1, "1", None])
+def test_collider_arm_is_the_integer_0_or_1(arm):
+    # A bool or float arm would otherwise name conditions like collider.aTrue.
+    with pytest.raises(PremiseViolationError) as info:
+        check_collider_association(additive_model_scenario(), arm)
+    assert str(info.value) == f"arm must be 0 or 1, got {arm!r}"
+
+
+def test_collider_accepts_numpy_integer_arms():
+    reports = check_collider_association(additive_model_scenario(), np.int64(1))
+    assert reports[0].condition_id == "collider.a1.monotone"
+
+
 def test_collider_multiplicative_independence_at_treated_arm():
     s = multiplicative_model_scenario()
     reports = by_id(check_collider_association(s, 1))

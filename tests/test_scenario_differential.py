@@ -238,3 +238,27 @@ def test_sums_that_overflow_in_one_grouping_only(mean):
     walked = dict(kwargs, outcome_mean=[[iter(row) for row in arm] for arm in mean])
     assert _outcome(scenario, "DiscreteScenario", walked) == _outcome(
         scenario, "DiscreteScenario", kwargs)
+
+
+# Treatment tables with list rows take the one-pass test; the same rows as
+# iterators are walked.  Both builds must give the reference world or fault.
+_PO = dict(pi_support=(0.3, 0.6), pi_pmf=(0.5, 0.5), y_pairs=((1, 0), (0, 0)),
+           pair_pmf=(0.5, 0.5))
+_DISCRETE = dict(z_support=(0, 1), z_pmf=(0.5, 0.5), u_support=(0, 1), u_pmf=(0.4, 0.6),
+                 outcome_mean=(((0.0, 0.0),) * 2,) * 2)
+TREATMENT_WORLDS = {
+    "potential outcomes": ("PotentialOutcomeScenario", dict(_PO, treat=[[0.4, 0.2], [0.7, 0.5]])),
+    "row 0 implies the wrong pi": ("PotentialOutcomeScenario",
+                                   dict(_PO, treat=[[0.5, 0.2], [0.7, 0.5]])),
+    "discrete": ("DiscreteScenario", dict(_DISCRETE, treat=[[0.1, 0.2], [0.6, 0.8]])),
+    "an infinite cell": ("DiscreteScenario", dict(_DISCRETE, treat=[[0.1, math.inf], [0.6, 0.8]])),
+    "a missing row and a non-number": ("PotentialOutcomeScenario", dict(_PO, treat=[["x", 0.2]])),
+}
+
+
+@pytest.mark.parametrize("kind, kwargs", TREATMENT_WORLDS.values(), ids=TREATMENT_WORLDS.keys())
+def test_one_pass_and_walked_treatment_tables_agree(kind, kwargs):
+    walked = dict(kwargs, treat=[iter(row) for row in kwargs["treat"]])
+    one_pass = _outcome(scenario, kind, kwargs)
+    assert _outcome(scenario, kind, walked) == one_pass
+    assert one_pass == _outcome(reference, kind, kwargs)
