@@ -120,6 +120,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _commands() -> dict[str, _Parser]:
+    """Each command's subparser in the one parser tree, by name."""
+    return _build_parser()._subparsers._group_actions[0].choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The parsed command line.  When ``argv[0]`` names a command, its
+    subparser parses the rest in one pass, as the full parser would after
+    matching the name; help, usage errors and their text are the same.
+    Anything else (no command, ``-h``, an unknown name) goes to the full
+    parser."""
+    if argv is None:
+        argv = sys.argv[1:]
+    command = _commands().get(argv[0]) if argv else None
+    if command is None:
+        return _build_parser().parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def _load(path, kinds, command):
     """The scenario at ``path``, which must be one of ``kinds``; a binary
     scenario is widened by ``to_discrete`` where discrete ones are accepted."""
@@ -222,7 +242,7 @@ def main(argv=None) -> int:
     """Run one command: its text on stdout and status 0, or exactly one
     ``error: ...`` line on stderr and the status the module docstring lists."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
         # Printed inside the try, so a failed stdout write is one error line too.
         print(_HANDLERS[args.command](args))
         return 0

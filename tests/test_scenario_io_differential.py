@@ -389,3 +389,64 @@ def test_other_files_are_walked(monkeypatch, text):
     monkeypatch.setattr(scenario_io, "_scan", lambda t: walked.append(t) or scan(t))
     assert _outcome(parse_scenario, text) == _outcome(reference.parse_scenario, text)
     assert walked == [text]
+
+
+def test_padded_flag_skips_the_bulk_table_pass(monkeypatch):
+    # A flag the bulk pass cannot read sends the file to the walk before the
+    # tables are read, so only the walk pops them.
+    from zbias import scenario_io
+
+    canonical = "\n".join(_bench_shaped_world(random.Random(29))) + "\n"
+    padded = _edit(canonical, "binary_outcome = true\n", "binary_outcome = true \n")
+    calls = []
+    pop_tables = scenario_io._pop_tables
+    monkeypatch.setattr(scenario_io, "_pop_tables",
+                        lambda *args: calls.append(args) or pop_tables(*args))
+    scenario = parse_scenario(padded)
+    assert len(calls) == 1
+    assert repr(scenario) == repr(parse_scenario(canonical))
+
+
+# Edits to a bench-shaped file: the walk still names a table fault before the flag.
+_FLAG = "binary_outcome = true\n"
+FLAG_CASES = {
+    "padded capital flag": [(_FLAG, "binary_outcome = True \n")],
+    "bad flag": [(_FLAG, "binary_outcome = yes\n")],
+    "bad cell, then bad flag": [(_FLAG, "binary_outcome = yes\n"),
+                                ("treat[3][4] = ", "treat[3][4] = x")],
+    "missing cell, then padded flag": [(_FLAG, "binary_outcome = true \n"),
+                                       ("mean[1][2][3] = ", "m = ")],
+}
+
+
+@pytest.mark.parametrize("edits", FLAG_CASES.values(), ids=FLAG_CASES.keys())
+def test_flags_the_bulk_pass_refuses_parse_as_walked(edits):
+    text = "\n".join(_bench_shaped_world(random.Random(30))) + "\n"
+    for old, new in edits:
+        text = _edit(text, old, new)
+    assert _outcome(parse_scenario, text) == _outcome(reference.parse_scenario, text)
+
+
+def _binary_text(**values):
+    """BINARY_LINES with values replaced by key; a value of None drops the line."""
+    pairs = [line.split(" = ") for line in BINARY_LINES]
+    return "".join(f"{key} = {values.get(key, value)}\n" for key, value in pairs
+                   if values.get(key, value) is not None)
+
+
+# The first missing or bad probability in key order is named, bulk or walked.
+BINARY_FAULTS = {
+    "first key missing": _binary_text(pZ=None),
+    "last key bad": _binary_text(r00="x"),
+    "missing before bad": _binary_text(p10=None, r11="x"),
+    "bad before missing": _binary_text(p11="0.8.1", r01=None),
+    "bad then missing, walked": _binary_text(pU="nan0", p00=None) + "# walked\n",
+    "missing then bad, walked": _binary_text(pU=None, p00="") + "\n",
+}
+
+
+@pytest.mark.parametrize("text", BINARY_FAULTS.values(), ids=BINARY_FAULTS.keys())
+def test_binary_faults_are_named_in_key_order(text):
+    outcome = _outcome(parse_scenario, text)
+    assert outcome[0] is ScenarioFormatError
+    assert outcome == _outcome(reference.parse_scenario, text)
