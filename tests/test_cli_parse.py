@@ -109,11 +109,6 @@ def test_fast_parse_prints_the_full_parsers_help(argv, capsys):
     assert printed[0].out.startswith("usage: zbias") and printed[0].err == ""
 
 
-def test_parse_reads_sys_argv_without_argv(monkeypatch):
-    monkeypatch.setattr("sys.argv", ["zbias", "mc", "--draws", "3", "--seed", "4"])
-    assert vars(cli._parse(None)) == {"command": "mc", "draws": 3, "seed": 4, "filter": None}
-
-
 def test_commands_are_the_parser_trees_subparsers():
     (action,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
     assert cli._commands() is action.choices
