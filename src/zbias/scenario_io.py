@@ -274,12 +274,7 @@ def _reject_unknown(entries: _Entries) -> None:
 
 
 def _build_binary(entries: _Entries) -> BinaryScenario:
-    texts = list(map(entries.pop, _BINARY_KEYS, repeat(None)))
-    try:
-        params = list(map(float, texts))
-    except (TypeError, ValueError):  # float(None) is a missing key; name the first fault
-        entries.update(pair for pair in zip(_BINARY_KEYS, texts) if pair[1] is not None)
-        params = [_float(entries, key, _pop(entries, key)) for key in _BINARY_KEYS]
+    params = [_float(entries, key, _pop(entries, key)) for key in _BINARY_KEYS]
     binary = _pop_bool(entries, "binary_outcome", True)
     _reject_unknown(entries)
     return _binary_scenario(params, binary)
@@ -298,11 +293,6 @@ def _law(text: str):
 
 
 def _build_discrete(entries: _Entries) -> DiscreteScenario:
-    # A flag the bulk pass would refuse sends the file to the walk now, not
-    # after both tables are converted.
-    if entries.lines is None and (
-            entries.get("binary_outcome", "true").lower() not in ("true", "false")):
-        raise _Walk
     lists = {key: _pop_float_list(entries, key)
              for key in ("z_support", "z_pmf", "u_support", "u_pmf")}
     n_z = len(lists["z_support"])

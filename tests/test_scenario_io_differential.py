@@ -391,22 +391,6 @@ def test_other_files_are_walked(monkeypatch, text):
     assert walked == [text]
 
 
-def test_padded_flag_skips_the_bulk_table_pass(monkeypatch):
-    # A flag the bulk pass cannot read sends the file to the walk before the
-    # tables are read, so only the walk pops them.
-    from zbias import scenario_io
-
-    canonical = "\n".join(_bench_shaped_world(random.Random(29))) + "\n"
-    padded = _edit(canonical, "binary_outcome = true\n", "binary_outcome = true \n")
-    calls = []
-    pop_tables = scenario_io._pop_tables
-    monkeypatch.setattr(scenario_io, "_pop_tables",
-                        lambda *args: calls.append(args) or pop_tables(*args))
-    scenario = parse_scenario(padded)
-    assert len(calls) == 1
-    assert repr(scenario) == repr(parse_scenario(canonical))
-
-
 # Edits to a bench-shaped file: the walk still names a table fault before the flag.
 _FLAG = "binary_outcome = true\n"
 FLAG_CASES = {
