@@ -107,19 +107,18 @@ def reports_to_json(reports) -> str:
 def _report(condition_id: str, runs: list) -> ConditionReport:
     """A report over runs made by ``_at_least``, ``_at_most`` or ``_equal``.
     A slack below -1e-12 is a violation; the margin is the least slack, or
-    infinity (``null`` in JSON) with nothing to compare.  An infinite margin
-    over finite compared values is an overflow and raises InvariantViolation."""
+    infinity (``null`` in JSON) with nothing to compare.  A NaN margin (an
+    infinity less an infinity), or an infinite margin over finite compared
+    values (an overflow), raises InvariantViolation."""
     slacks = []
     for cell, _lhs, _rhs, slack in runs:
         slacks += [slack] if type(cell) is str else slack
     margin = min(slacks, default=math.inf)
-    witnesses = ()
-    if not margin >= -IDENTITY_TOL:  # a NaN margin can hide a violation
-        witnesses = tuple(_witnesses(runs))
-    elif margin == math.inf and any(
+    if math.isnan(margin) or margin == math.inf and any(
             isfinite(lhs) and isfinite(rhs) for cell, *pair, _slack in runs
             for lhs, rhs in ([pair] if type(cell) is str else zip(*pair))):
         raise InvariantViolation(f"margin {margin!r} is not finite", field=condition_id)
+    witnesses = tuple(_witnesses(runs)) if margin < -IDENTITY_TOL else ()
     return ConditionReport(condition_id, not witnesses, margin, witnesses)
 
 

@@ -24,7 +24,7 @@ stratum per pi.  Slots are differences, or ratios, of moment pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring, encode_basestring_ascii
 from math import fsum, isfinite
@@ -47,6 +47,7 @@ from .scenario import (
     _propensity_values,
     _total,
     _treated_fraction,
+    _valid,
     collapse_by_propensity,
     to_discrete,
 )
@@ -421,14 +422,12 @@ def dce(
     # Masses may sum to 1 + VALIDATION_TOL, so a tail probability is capped at 1.
     tail = [[min(fsum(p for v, p in cell if v > threshold), 1.0) for cell in arm]
             for arm in s.outcome_law]
-    dichotomized = replace(
-        s,
-        outcome_mean=tuple(tuple(tuple(tail[a]) for _ in range(s.n_z)) for a in (0, 1)),
-        outcome_law=None,
-        binary_outcome=True,
-    )
-    e = estimates(dichotomized, conditioning)
-    return DceSet(**vars(e), threshold=threshold)
+    # Tails lie in [0, 1]; the other fields, and every number of ``e``, are checked.
+    mean = tuple(tuple(tuple(tail[a]) for _ in range(s.n_z)) for a in (0, 1))
+    world = _valid(DiscreteScenario, **{**vars(s), "outcome_mean": mean, "outcome_law": None,
+                                        "binary_outcome": True})
+    e = estimates(world, conditioning)
+    return _valid(DceSet, **vars(e), threshold=threshold)
 
 
 def rr(s: DiscreteScenario, conditioning: Conditioning = "on_z") -> RrSet:
@@ -494,13 +493,25 @@ def covariate_average(
     )
 
 
+def _normalised(pmf: tuple[float, ...]) -> tuple[float, ...]:
+    """``pmf`` divided by its sum when that is more than ``IDENTITY_TOL`` from 1."""
+    mass = fsum(pmf)
+    return pmf if abs(mass - 1.0) <= IDENTITY_TOL else tuple(p / mass for p in pmf)
+
+
 def po_estimates(s: PotentialOutcomeScenario) -> EstimateSet:
     """Estimands when the confounder is the potential-outcome pair itself.
 
     The observed outcome is Y = A Y(1) + (1-A) Y(0), so the true slots come
     straight from the joint law and the treatment table; adjustment
-    conditions on the propensity.
+    conditions on the propensity.  Masses that sum to 1 + d, |d| >
+    ``IDENTITY_TOL``, are divided by their sum, so that cells and marginal
+    weigh one law (a view not checked again: its Pr(A=1|pi) = pi gaps move
+    by about |d|).
     """
+    pi_pmf, pair_pmf = _normalised(s.pi_pmf), _normalised(s.pair_pmf)
+    if pi_pmf is not s.pi_pmf or pair_pmf is not s.pair_pmf:
+        s = _valid(PotentialOutcomeScenario, **{**vars(s), "pi_pmf": pi_pmf, "pair_pmf": pair_pmf})
     marginal = [(p, y1, y0) for p, (y1, y0) in zip(s.pair_pmf, s.y_pairs)]
     cells = [
         (kw * p, t, y1, y0)

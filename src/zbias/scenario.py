@@ -7,8 +7,9 @@ outcome table gives E(Y|A,U) (optionally E(Y|A,Z,U) when a direct Z-to-Y
 effect is modelled).  All downstream computation (estimands, condition
 checks, Monte Carlo) consumes these types.
 
-Types are frozen dataclasses validated at construction; every operation is a
-pure function of its inputs, so unrestricted concurrent use is safe.
+Types are frozen dataclasses validated at construction (worlds derived from a
+validated one are built by ``_valid``, unchecked); every operation is a pure
+function of its inputs, so unrestricted concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from math import fsum
-from operator import lt, mul, sub
+from operator import lt, mul
 
 from .errors import InvariantViolation
 
@@ -79,6 +80,15 @@ def _float_pairs(pairs, name, finite: bool) -> tuple[tuple[float, float], ...]:
         return tuple(zip(flat[::2], flat[1::2]))
     name = name() if callable(name) else name
     return tuple((_as_float(x, name, True), _as_float(y, name, finite)) for x, y in pairs)
+
+
+def _valid(cls, **fields):
+    """An instance of the dataclass ``cls`` holding ``fields``, in declaration
+    order (which ``vars`` follows), unchecked: values of the types its
+    validator stores that follow from a world already checked."""
+    out = object.__new__(cls)
+    out.__dict__.update([(name, fields[name]) for name in cls.__dataclass_fields__])
+    return out
 
 
 def _total(terms) -> float:
@@ -253,48 +263,12 @@ class DiscreteScenario:
                       finite=True, unit=self.binary_outcome)
         object.__setattr__(self, "outcome_mean", mean)
         if self.outcome_law is not None:
-            law = self._uniform_law()
-            object.__setattr__(self, "outcome_law", law or self._checked_law())
-
-    def _uniform_law(self) -> OutcomeLaw | None:
-        """The outcome law as float pairs when every cell holds the same
-        number of points and one test over all cells passes: values finite,
-        strictly increasing and (binary outcome) in {0, 1}, masses summing
-        to 1 and law means within ``VALIDATION_TOL`` of their mean column.
-        None otherwise, for ``_checked_law`` to name the fault."""
-        law, n_u = self.outcome_law, self.n_u
-        if (type(law) not in _SEQUENCES or not {*map(type, law)} <= _SEQUENCES
-                or list(map(len, law)) != [n_u, n_u]):
-            return None
-        cells = list(chain.from_iterable(law))
-        if not {*map(type, cells)} <= _SEQUENCES or len({*map(len, cells)}) != 1:
-            return None
-        pairs = list(chain.from_iterable(cells))
-        if not pairs or not {*map(type, pairs)} <= _SEQUENCES or {*map(len, pairs)} != {2}:
-            return None
-        m = len(cells[0])  # each cell is a run of m values and of m masses
-        try:
-            flat = tuple(map(float, chain.from_iterable(pairs)))
-            values, probs = flat[::2], flat[1::2]
-            totals = list(map(fsum, _runs(probs, m)))
-            means = list(map(fsum, _runs(map(mul, values, probs), m)))
-        except (TypeError, ValueError, OverflowError):
-            return None
-        rising = list(map(lt, values, values[1:]))
-        del rising[m - 1::m]  # the pairs that straddle two cells
-        columns = [*zip(*self.outcome_mean[0]), *zip(*self.outcome_mean[1])]
-        tol = VALIDATION_TOL
-        if not (math.isfinite(sum(flat)) and min(probs) >= 0.0 and all(rising)
-                and (not self.binary_outcome or {0.0, 1.0}.issuperset(values))
-                and max(map(abs, map(sub, totals, repeat(1.0)))) <= tol
-                and max(map(abs, map(sub, means, map(min, columns)))) <= tol
-                and max(map(abs, map(sub, means, map(max, columns)))) <= tol):
-            return None
-        return tuple(_runs(_runs(zip(values, probs), m), n_u))
+            object.__setattr__(self, "outcome_law", self._checked_law())
 
     def _checked_law(self) -> OutcomeLaw:
         """The outcome law converted pair by pair and checked against the
-        means, cell by cell, so that the first fault is named."""
+        means by one test per cell; a cell that fails it is checked again,
+        one condition at a time, so that the first fault is named."""
         law = tuple(
             tuple(_float_pairs(cell, lambda: f"law[{a}][{j}]", finite=False)
                   for j, cell in enumerate(arm))
@@ -302,29 +276,31 @@ class DiscreteScenario:
         )
         if len(law) != 2 or any(len(arm) != self.n_u for arm in law):
             raise InvariantViolation("expected one distribution per (a, u) cell", field="law")
+        binary = self.binary_outcome
         for a in (0, 1):
-            columns = tuple(zip(*self.outcome_mean[a]))
-            for j, (cell, column) in enumerate(zip(law[a], columns)):
-                name = f"law[{a}][{j}]"
+            for j, (cell, column) in enumerate(zip(law[a], zip(*self.outcome_mean[a]))):
                 values, probs = tuple(zip(*cell)) or ((), ())
+                law_mean = _total(list(map(mul, values, probs)))
+                # IEEE subtraction is monotone, so the column's extremes
+                # bound every |law_mean - mean| exactly.
+                if (values and all(map(lt, values, values[1:])) and min(probs) >= 0.0
+                        and abs(_total(probs) - 1.0) <= VALIDATION_TOL
+                        and (not binary or {0.0, 1.0}.issuperset(values))
+                        and abs(law_mean - min(column)) <= VALIDATION_TOL
+                        and abs(law_mean - max(column)) <= VALIDATION_TOL):
+                    continue
+                name = f"law[{a}][{j}]"
                 _check_strictly_increasing(values, name)
                 _check_pmf(probs, len(probs), name)
-                if self.binary_outcome and not {0.0, 1.0}.issuperset(values):
+                if binary and not {0.0, 1.0}.issuperset(values):
                     raise InvariantViolation(
                         "binary outcome law must be supported on {0, 1}", field=name
                     )
-                law_mean = _total([v * p for v, p in cell])
-                # IEEE subtraction is monotone, so the column's extremes
-                # bound every |law_mean - mean| exactly.
-                gaps = (abs(law_mean - min(column)), abs(law_mean - max(column)))
-                if max(gaps) > VALIDATION_TOL:
-                    i = next(i for i, m in enumerate(column)
-                             if abs(law_mean - m) > VALIDATION_TOL)
-                    raise InvariantViolation(
-                        f"law mean {law_mean!r} does not match "
-                        f"mean[{a}][{i}][{j}] = {column[i]!r}",
-                        field=name,
-                    )
+                i = next(i for i, m in enumerate(column) if abs(law_mean - m) > VALIDATION_TOL)
+                raise InvariantViolation(
+                    f"law mean {law_mean!r} does not match mean[{a}][{i}][{j}] = {column[i]!r}",
+                    field=name,
+                )
         return law
 
     @property
@@ -466,12 +442,15 @@ def to_discrete(scenario: BinaryScenario) -> DiscreteScenario:
 
     Supports become {0, 1}; the outcome table is constant in z.  When the
     outcome is binary a two-point outcome law is attached so distributional
-    effects are available on the converted scenario.
+    effects are available on the converted scenario.  It is valid, and not
+    checked again: each pmf (1 - p, p) and law (0: 1 - r, 1: r) has mass
+    within an ulp of 1, and the law has mean r.
     """
     law = None
     if scenario.binary_outcome:
         law = tuple(tuple(((0.0, 1.0 - r), (1.0, r)) for r in m) for m in scenario.outcome_mean)
-    return DiscreteScenario(
+    return _valid(
+        DiscreteScenario,
         z_support=(0.0, 1.0),
         z_pmf=(1.0 - scenario.z_prob, scenario.z_prob),
         u_support=(0.0, 1.0),
@@ -508,7 +487,12 @@ def collapse_by_propensity(
     Merged levels are relabelled by their propensity (the merged treatment
     row's own marginal), masses add, and treatment/outcome rows combine as
     mass-weighted averages.  The result has an injective propensity map, and
-    collapsing an already collapsed scenario returns it unchanged.
+    collapsing an already collapsed scenario returns it unchanged.  It is
+    not checked again unless a merge breaks an invariant: with ``tol = 0`` a
+    new label can land an ulp from its neighbour's, and a merged mean can
+    overflow; then ``replace`` validates it and names the fault.  The pmf
+    sum and the law-mean gaps move only by the rounding of a convex
+    combination.
     """
     tol = _as_float(tol, "tol")
     if tol < 0.0:
@@ -530,7 +514,7 @@ def collapse_by_propensity(
     if already_collapsed:
         return scenario
 
-    support, pmf, treat_rows, mean_rows = [], [], [], []
+    support, pmf, treat_rows, mean_rows, finite = [], [], [], [], True
     for group in groups:
         # Each level is labelled with its row's own propensity, so that the
         # collapsed scenario satisfies propensity(z) == z exactly.
@@ -548,15 +532,18 @@ def collapse_by_propensity(
             label = _treated_fraction(scenario.u_pmf, treat_row)
             means = tuple(_merged(weights, arm, group, scenario.binary_outcome)
                           for arm in scenario.outcome_mean)
+            finite = finite and all(map(math.isfinite, means[0] + means[1]))
         support.append(label)
         pmf.append(mass)
         treat_rows.append(treat_row)
         mean_rows.append(means)
 
-    return replace(
-        scenario,
+    fields = dict(
         z_support=tuple(support),
         z_pmf=tuple(pmf),
         treat=tuple(treat_rows),
         outcome_mean=(tuple(m[0] for m in mean_rows), tuple(m[1] for m in mean_rows)),
     )
+    if not (finite and all(map(lt, support, support[1:]))):
+        return replace(scenario, **fields)
+    return _valid(DiscreteScenario, **{**vars(scenario), **fields})

@@ -564,3 +564,30 @@ def test_dce_tail_of_a_law_summing_above_one_is_capped(tmp_path, capsys):
         slots = json.loads(captured.out)
         if threshold == "-1":  # I(Y > -1) is always 1: no effect, no bias
             assert max(abs(slots[k]) for k in ("true_all", "unadj", "adj_all")) < 1e-12
+
+
+@pytest.mark.parametrize("pi_pmf, pairs, true_all", [
+    # The propensity masses sum to 1 + 1e-11: cells weigh pi_pmf x pair_pmf.
+    ("0.5, 0.50000000001", "1.0,0.0:0.5; 0.0,0.0:0.5", 0.5),
+    # The pair masses sum to 1 + 1e-11, and E{Y(1)} is read from the law they
+    # give once divided by their sum.
+    ("0.5, 0.5", "1.0,0.0:0.5; 0.0,0.0:0.50000000001", 0.5 / 1.00000000001),
+])
+def test_potential_outcome_masses_just_off_one(tmp_path, capsys, pi_pmf, pairs, true_all):
+    from zbias.cli import main
+
+    path = tmp_path / "po.scn"
+    path.write_text(f"kind = potential_outcomes\npi_support = 0.3, 0.6\npi_pmf = {pi_pmf}\n"
+                    f"y_pairs = {pairs}\ntreat[0][0] = 0.4\ntreat[0][1] = 0.2\n"
+                    "treat[1][0] = 0.7\ntreat[1][1] = 0.5\n")
+    assert main(["eval", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    slots = json.loads(captured.out)
+    assert slots["true_all"] == true_all
+    # Each whole-population slot is the f-weighted mix of its treated and
+    # control slots, at the identity tolerance.
+    f = slots["f"]
+    for kind in ("true", "adj"):
+        mix = f * slots[f"{kind}_treated"] + (1.0 - f) * slots[f"{kind}_control"]
+        assert abs(slots[f"{kind}_all"] - mix) <= 1e-12

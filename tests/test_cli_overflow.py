@@ -126,3 +126,20 @@ def test_non_utf8_line_is_counted_as_the_parser_counts(capsys, tmp_path):
     # CRLF and a lone CR end one line each, as in parse_scenario.
     code, err = _run(capsys, tmp_path, b"kind = binary\r\n\rpZ = 0.5\n\xc3\n", "eval")
     assert (code, err) == (1, "error: line 4: not valid UTF-8 text\n")
+
+
+def _nan_margin_text():
+    """E(Y|A=0,Z=z) overflows to inf at both z, so each thm1.b slack is
+    inf - inf: the margin is NaN, and no comparison is a violation."""
+    lines = ["kind = discrete", "z_support = 0.0, 1.0", "z_pmf = 0.5, 0.5",
+             "u_support = 0.0, 1.0", "u_pmf = 1e-300, 1.00000000099",
+             "treat[0][0] = 0.5", "treat[0][1] = 0.5", "treat[1][0] = 0.6", "treat[1][1] = 0.6"]
+    lines += [f"mean[0][{i}][{j}] = {m}" for i in (0, 1) for j, m in enumerate(("0.0", MAX))]
+    lines += [f"mean[1][{i}][{j}] = {m}" for i in (0, 1) for j, m in enumerate(("0.0", "0.5"))]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("theorem", ["thm1", "thm7"])
+def test_nan_margin_names_the_report(capsys, tmp_path, theorem):
+    code, err = _run(capsys, tmp_path, _nan_margin_text(), "check", "--theorem", theorem)
+    assert (code, err) == (1, f"error: {theorem}.b: margin nan is not finite\n")
